@@ -17,16 +17,15 @@ import re
 import sys
 import tempfile
 
-from .core import add_recursive, cvt
+from .core import add_recursive
 from .limits import LimitError, ensure_within
-from .matrices import MatrixKind, build_matrix, export_csv
+from .matrices import MatrixKind, _csv_lines, _rows
 from .numtheory import (
     DEFAULT_GRID_CAP,
-    export_pgm,
+    _stream_pgm,
     goldbach_sweep,
-    is_prime,
-    odd_odd_cvt_grid,
     palindrome_row,
+    prime_sieve,
 )
 from .tree import (
     DEFAULT_TREE_CAP,
@@ -73,14 +72,15 @@ def _active_cap(args):
 
 
 def _write_output(text, path):
+    lines = [text] if isinstance(text, str) else text  # matrix/fractal stream lines
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".cvtxor-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -131,23 +131,24 @@ def _cmd_stats(args):
 
 
 def _cmd_matrix(args):
-    matrix = build_matrix(MatrixKind(args.kind), args.n_max, cap=_active_cap(args))
-    return export_csv(matrix)
+    kind = MatrixKind(args.kind)
+    return _csv_lines(kind, args.n_max, _rows(kind, args.n_max, _active_cap(args)))
 
 
 def _cmd_fractal(args):
-    return export_pgm(odd_odd_cvt_grid(args.grid_limit, cap=_active_cap(args)))
+    return _stream_pgm(args.grid_limit, cap=_active_cap(args))
 
 
 def _cmd_triangle(args):
     if args.n < 2 or args.n % 2:
         raise ValueError("triangle bound must be even and >= 2")
     ensure_within(args.n, _active_cap(args), DEFAULT_GRID_CAP, "triangle bound")
+    sieve = prime_sieve(args.n)
     lines = []
     for n in range(2, args.n + 1, 2):
         row = []
         for k, value in zip(range(1, n, 2), palindrome_row(n)):
-            mark = "*" if is_prime(k) and is_prime(n - k) else ""
+            mark = "*" if sieve[k] and sieve[n - k] else ""
             row.append(_fmt(value, args.binary) + mark)
         lines.append(f"{n}: " + " ".join(row))
     return "\n".join(lines) + "\n"

@@ -4,16 +4,16 @@ Three kinds: per-cell depth inside the tree for i + j, per-cell
 (carry, xor) parent, and per-cell child count.  The anti-diagonal at n
 is exactly the node set of the tree for n, so the tables are a flat,
 exportable view of every tree up to the bound.  Storage is a dense
-(n_max + 1) square, hence the quadratic default cap.
+(n_max + 1) square, hence the quadratic default cap; the CLI writes
+the CSV row by row instead and never holds the square.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import cvt, xor
 from .limits import ensure_within
-from .tree import parent_of, predecessor_count
+from .tree import depth_of, parent_of, predecessor_count
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -45,49 +45,32 @@ class AnalysisMatrix:
     cells: tuple
 
 
-def _depth_via_memo(pair, memo):
-    # A chain from (i, j) stays on the anti-diagonal i + j, so one memo
-    # shared across the whole table is sound.
-    chain = []
-    cur = pair
-    while cur not in memo:
-        if cur[0] == 0:
-            memo[cur] = 0
-            break
-        chain.append(cur)
-        cur = parent_of(cur)
-    d = memo[cur]
-    for link in reversed(chain):
-        d += 1
-        memo[link] = d
-    return memo[pair]
-
-
-def _child_count(i, j):
-    count = predecessor_count((i, j))
-    if i == 0:
+def _child_count(pair):
+    count = predecessor_count(pair)
+    if pair[0] == 0:
         count -= 1  # the root's self-loop is not a child edge
     return count
 
 
-def build_matrix(kind: MatrixKind, n_max: int, cap: int | None = None) -> AnalysisMatrix:
+def _rows(kind, n_max, cap):
+    """Checks the arguments now; the rows (cells (i, 0..n_max)) come lazily."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     ensure_within(n_max, cap, DEFAULT_MATRIX_CAP, "matrix bound")
-    size = n_max + 1
     if kind is MatrixKind.DEPTH:
-        memo = {}
-        rows = [
-            tuple(_depth_via_memo((i, j), memo) for j in range(size))
-            for i in range(size)
-        ]
+        cell = depth_of
     elif kind is MatrixKind.PARENT:
-        rows = [tuple((cvt(i, j), xor(i, j)) for j in range(size)) for i in range(size)]
+        cell = parent_of
     elif kind is MatrixKind.FREQUENCY:
-        rows = [tuple(_child_count(i, j) for j in range(size)) for i in range(size)]
+        cell = _child_count
     else:
         raise ValueError(f"unknown matrix kind: {kind!r}")
-    return AnalysisMatrix(n_max=n_max, kind=kind, cells=tuple(rows))
+    size = n_max + 1
+    return (tuple(cell((i, j)) for j in range(size)) for i in range(size))
+
+
+def build_matrix(kind: MatrixKind, n_max: int, cap: int | None = None) -> AnalysisMatrix:
+    return AnalysisMatrix(n_max=n_max, kind=kind, cells=tuple(_rows(kind, n_max, cap)))
 
 
 def _check_diagonal(matrix, n):
@@ -141,20 +124,20 @@ def parent_occurrences(matrix: AnalysisMatrix, target, n: int) -> int:
     return sum(1 for k in range(n + 1) if matrix.cells[n - k][k] == want)
 
 
+def _csv_lines(kind, n_max, rows):
+    yield "i\\j," + ",".join(map(str, range(n_max + 1))) + "\n"
+    for i, row in enumerate(rows):
+        if kind is MatrixKind.PARENT:
+            rendered = (f"({p};{q})" for p, q in row)
+        else:
+            rendered = map(str, row)
+        yield f"{i}," + ",".join(rendered) + "\n"
+
+
 def export_csv(matrix: AnalysisMatrix) -> str:
     """CSV with a row label i and column header j.
 
     Parent cells render as "(p;q)" so the comma stays a field
     separator.  Byte-deterministic.
     """
-    size = matrix.n_max + 1
-    lines = ["i\\j," + ",".join(str(j) for j in range(size))]
-    is_parent = matrix.kind is MatrixKind.PARENT
-    for i in range(size):
-        row = matrix.cells[i]
-        if is_parent:
-            rendered = (f"({p};{q})" for p, q in row)
-        else:
-            rendered = (str(v) for v in row)
-        lines.append(f"{i}," + ",".join(rendered))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(matrix.kind, matrix.n_max, matrix.cells))

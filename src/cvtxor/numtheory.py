@@ -8,6 +8,7 @@ decompositions of the even total.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 from .core import cvt
@@ -57,11 +58,15 @@ class FractalGrid:
         return (self.limit + 1) // 2
 
 
-def odd_odd_cvt_grid(limit: int, cap: int | None = None) -> FractalGrid:
+def _grid_odds(limit, cap):
     if limit < 1 or limit % 2 == 0:
         raise ValueError("grid limit must be odd and >= 1")
     ensure_within(limit, cap, DEFAULT_GRID_CAP, "grid limit")
-    odds = range(1, limit + 1, 2)
+    return range(1, limit + 1, 2)
+
+
+def odd_odd_cvt_grid(limit: int, cap: int | None = None) -> FractalGrid:
+    odds = _grid_odds(limit, cap)
     cells = {x: {y: cvt(x, y) for y in odds} for x in odds}
     return FractalGrid(limit=limit, cells=cells)
 
@@ -150,8 +155,8 @@ class GoldbachReport:
 
 def _report_from_sieve(n, sieve):
     pairs = []
-    for p in range(2, n // 2 + 1):
-        if sieve[p] and sieve[n - p]:
+    for p in compress(range(n // 2 + 1), sieve):
+        if sieve[n - p]:
             node = (p, n - p)
             pairs.append(
                 GoldbachPair(p=p, q=n - p, node_class=classify_node(node), depth=depth_of(node))
@@ -229,6 +234,15 @@ def goldbach_sweep(
     )
 
 
+def _pgm_lines(side, peak, rows):
+    stated = min(peak, 65535)
+    yield f"P2\n{side} {side}\n{stated}\n"
+    for row in rows:
+        if peak > stated:
+            row = (v * stated // peak for v in row)
+        yield " ".join(map(str, row)) + "\n"
+
+
 def export_pgm(grid: FractalGrid) -> str:
     """Plain-text PGM ("P2") of the grid, one raster row per odd y.
 
@@ -238,13 +252,13 @@ def export_pgm(grid: FractalGrid) -> str:
     """
     odds = range(1, grid.limit + 1, 2)
     peak = max(max(row.values()) for row in grid.cells.values())
-    if peak > 65535:
-        scale = lambda v: v * 65535 // peak  # noqa: E731
-        stated = 65535
-    else:
-        scale = lambda v: v  # noqa: E731
-        stated = peak
-    lines = ["P2", f"{grid.side} {grid.side}", str(stated)]
-    for y in odds:
-        lines.append(" ".join(str(scale(grid.cells[x][y])) for x in odds))
-    return "\n".join(lines) + "\n"
+    rows = ((grid.cells[x][y] for x in odds) for y in odds)
+    return "".join(_pgm_lines(grid.side, peak, rows))
+
+
+def _stream_pgm(limit: int, cap: int | None = None):
+    """export_pgm(odd_odd_cvt_grid(limit, cap)) line by line, in memory
+    linear in the side; the peak is cvt(limit, limit) = 2 limit, as
+    cvt(x, y) = 2 (x & y) <= 2 min(x, y)."""
+    odds = _grid_odds(limit, cap)
+    return _pgm_lines(len(odds), 2 * limit, ((cvt(x, y) for x in odds) for y in odds))

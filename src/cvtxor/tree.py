@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import cvt, xor
 from .limits import ensure_within
 
 __all__ = [
@@ -43,10 +42,17 @@ class NodeClass(Enum):
     INTERNAL = "Internal"
 
 
+def _checked_pair(pair):
+    x, y = pair
+    if x < 0 or y < 0:
+        raise ValueError("operands must be non-negative integers")
+    return x, y
+
+
 def parent_of(pair) -> tuple:
     """(carry, xor) of the pair; a fixed point exactly at (0, n)."""
-    x, y = pair
-    return (cvt(x, y), xor(x, y))
+    x, y = _checked_pair(pair)
+    return ((x & y) << 1, x ^ y)
 
 
 def predecessors_of(pair) -> set:
@@ -61,9 +67,7 @@ def predecessors_of(pair) -> set:
     Note (0, n) is mathematically its own predecessor; tree builders
     drop that element, this raw inverse keeps it.
     """
-    x, y = pair
-    if x < 0 or y < 0:
-        raise ValueError("operands must be non-negative integers")
+    x, y = _checked_pair(pair)
     if x & 1 or (x >> 1) & y:
         return set()
     base = x >> 1
@@ -83,7 +87,7 @@ def predecessor_count(pair) -> int:
     Zero on contradiction or odd first coordinate, else 2 to the number
     of free positions (the set bits of the second coordinate).
     """
-    x, y = pair
+    x, y = _checked_pair(pair)
     if x & 1 or (x >> 1) & y:
         return 0
     return 1 << y.bit_count()
@@ -96,9 +100,7 @@ def classify_node(pair) -> NodeClass:
     enumeration: a contradiction position is a set carry bit directly
     above a set xor bit.
     """
-    x, y = pair
-    if x < 0 or y < 0:
-        raise ValueError("operands must be non-negative integers")
+    x, y = _checked_pair(pair)
     if x == 0:
         return NodeClass.ROOT
     if x & 1:
@@ -110,9 +112,10 @@ def classify_node(pair) -> NodeClass:
 
 def depth_of(pair) -> int:
     """Parent hops from the pair to the root of its own sum's tree."""
+    x, y = _checked_pair(pair)
     d = 0
-    while pair[0] != 0:
-        pair = parent_of(pair)
+    while x:
+        x, y = (x & y) << 1, x ^ y
         d += 1
     return d
 
@@ -174,6 +177,8 @@ def build_bottom_up(n: int, cap: int | None = None) -> CvtXorTree:
 
     Node-for-node and edge-for-edge identical to build_top_down(n).
     """
+    if n < 0:
+        raise ValueError("tree sum must be non-negative")
     ensure_within(n, cap, DEFAULT_TREE_CAP, "tree sum")
     root = (0, n)
     depth = {root: 0}

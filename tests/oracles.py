@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose: carries
 placed bit position by bit position, predecessors found by scanning a
-whole anti-diagonal, depth by literally walking the chain, primality
-by trial division.  None of it shares code with the package.
+whole anti-diagonal, depth by literally walking the chain (and, as a
+second view, by measuring carry chains), primality by trial division.
+None of it shares code with the package.
 """
 
 
@@ -35,6 +36,27 @@ def chain_depth(pair):
         a, b = carry_word(a, b), a ^ b
         steps += 1
     return steps
+
+
+def carry_chain_depth(a, b):
+    """Depth in closed form: one hop if a is nonzero, plus the longest
+    carry chain of a + b (Burks, Goldstine and von Neumann, 1946).
+
+    A chain is a run of carry-in bits (a + b) ^ a ^ b; a generate
+    position (both operand bits set) starts a fresh chain one bit up.
+    """
+    carries = (a + b) ^ a ^ b
+    generates = a & b
+    longest = run = 0
+    for i in range(carries.bit_length()):
+        if not (carries >> i) & 1:
+            run = 0
+            continue
+        if i > 0 and (generates >> (i - 1)) & 1:
+            run = 0
+        run += 1
+        longest = max(longest, run)
+    return (1 if a else 0) + longest
 
 
 def trial_division_prime(n):

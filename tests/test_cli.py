@@ -4,10 +4,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
+from cvtxor import (
+    DEFAULT_GRID_CAP,
+    DEFAULT_MATRIX_CAP,
+    MatrixKind,
+    build_matrix,
+    export_csv,
+    export_pgm,
+    odd_odd_cvt_grid,
+)
 from cvtxor.cli import run
+from cvtxor.matrices import _csv_lines, _rows
+from cvtxor.numtheory import _stream_pgm
 
 
 def _capture(capsys, argv):
@@ -92,6 +105,32 @@ def test_fractal_pgm_golden(capsys):
     code, out, _ = _capture(capsys, ["fractal", "--max", "7"])
     assert code == 0
     assert out == "P2\n4 4\n14\n2 2 2 2\n2 6 2 6\n2 2 10 10\n2 6 10 14\n"
+
+
+def test_matrix_and_fractal_match_the_library_exports(capsys, tmp_path):
+    for kind in MatrixKind:
+        code, out, _ = _capture(capsys, ["matrix", "--kind", kind.value, "--max", "13"])
+        assert code == 0
+        assert out == export_csv(build_matrix(kind, 13))
+    target = tmp_path / "grid.pgm"
+    assert run(["fractal", "--max", "25", "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == export_pgm(odd_odd_cvt_grid(25))
+
+
+def test_matrix_and_fractal_rows_are_computed_as_they_are_written():
+    # At the default caps a materialised table holds about 17 million
+    # cells; the first few lines of a stream must not build it.
+    tracemalloc.start()
+    try:
+        rows = _rows(MatrixKind.PARENT, DEFAULT_MATRIX_CAP, None)
+        head = list(islice(_csv_lines(MatrixKind.PARENT, DEFAULT_MATRIX_CAP, rows), 3))
+        head += list(islice(_stream_pgm(DEFAULT_GRID_CAP), 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head[1].startswith("0,(0;0),(0;1),")
+    assert head[3] == f"P2\n2048 2048\n{2 * DEFAULT_GRID_CAP}\n"
+    assert peak < 4 << 20
 
 
 def test_triangle_marks_prime_splits(capsys):

@@ -17,7 +17,7 @@ from cvtxor import (
     predecessor_count,
     xor,
 )
-from oracles import chain_depth
+from oracles import carry_chain_depth, chain_depth
 
 
 def test_depth_cells_match_the_walked_chains():
@@ -25,6 +25,12 @@ def test_depth_cells_match_the_walked_chains():
     for i in range(25):
         for j in range(25):
             assert matrix.cells[i][j] == chain_depth((i, j))
+
+
+def test_depth_diagonals_match_the_carry_chain_oracle():
+    matrix = build_matrix(MatrixKind.DEPTH, 64)
+    for n in range(65):
+        assert anti_diagonal(matrix, n) == [carry_chain_depth(n - k, k) for k in range(n + 1)]
 
 
 def test_parent_cells_are_the_step_images():
@@ -98,6 +104,12 @@ def test_diagonal_bounds_checked():
 def test_csv_export_golden_frequency():
     assert export_csv(build_matrix(MatrixKind.FREQUENCY, 2)) == (
         "i\\j,0,1,2\n0,0,1,1\n1,0,0,0\n2,1,0,2\n"
+    )
+
+
+def test_csv_export_golden_depth():
+    assert export_csv(build_matrix(MatrixKind.DEPTH, 3)) == (
+        "i\\j,0,1,2,3\n0,0,0,0,0\n1,1,2,1,3\n2,1,1,2,2\n3,1,3,2,2\n"
     )
 
 

@@ -20,10 +20,13 @@ from cvtxor import (
     predecessors_of,
     tree_stats,
 )
-from oracles import brute_predecessors, chain_depth
+from oracles import brute_predecessors, carry_chain_depth, chain_depth
 
 small_pairs = st.tuples(
     st.integers(min_value=0, max_value=512), st.integers(min_value=0, max_value=512)
+)
+wide_pairs = st.tuples(
+    st.integers(min_value=0, max_value=2**64), st.integers(min_value=0, max_value=2**64)
 )
 
 
@@ -87,6 +90,11 @@ def test_leaf_classes_are_exactly_the_childless_non_roots(pair):
 @given(small_pairs)
 def test_depth_matches_the_walked_chain(pair):
     assert depth_of(pair) == chain_depth(pair)
+
+
+@given(wide_pairs)
+def test_depth_matches_the_longest_carry_chain(pair):
+    assert depth_of(pair) == carry_chain_depth(*pair)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 18, 40, 100, 255, 256])
@@ -155,6 +163,12 @@ def test_negative_inputs_rejected():
         classify_node((2, -6))
     with pytest.raises(ValueError):
         build_top_down(-1)
+    with pytest.raises(ValueError):
+        build_bottom_up(-1)
+    with pytest.raises(ValueError):
+        predecessor_count((0, -1))
+    with pytest.raises(ValueError):
+        depth_of((0, -1))
 
 
 def test_dot_export_golden():
