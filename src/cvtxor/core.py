@@ -13,9 +13,13 @@ __all__ = ["cvt", "xor", "bit_length", "add_recursive", "AdditionTrace"]
 
 
 def _require_naturals(*values):
+    """The package's one input rule: every operand, coordinate and total
+    is an int (TypeError for a bool or anything else) and not negative."""
     for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"expected a non-negative integer, got {v!r}")
         if v < 0:
-            raise ValueError("operands must be non-negative integers")
+            raise ValueError(f"expected a non-negative integer, got {v}")
 
 
 def cvt(x: int, y: int) -> int:

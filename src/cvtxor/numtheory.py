@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .core import cvt
 from .limits import ensure_within
 from .tree import NodeClass, classify_node, depth_of
 
@@ -67,7 +66,7 @@ def _grid_odds(limit, cap):
 
 def odd_odd_cvt_grid(limit: int, cap: int | None = None) -> FractalGrid:
     odds = _grid_odds(limit, cap)
-    cells = {x: {y: cvt(x, y) for y in odds} for x in odds}
+    cells = {x: {y: (x & y) << 1 for y in odds} for x in odds}
     return FractalGrid(limit=limit, cells=cells)
 
 
@@ -75,7 +74,7 @@ def palindrome_row(n: int) -> list:
     """Carry values cvt(k, n - k) over odd k; reads the same reversed."""
     if n < 2 or n % 2:
         raise ValueError("row total must be even and >= 2")
-    return [cvt(k, n - k) for k in range(1, n, 2)]
+    return [(k & (n - k)) << 1 for k in range(1, n, 2)]
 
 
 def power_of_two_check(k: int, cap: int | None = None) -> bool:
@@ -88,7 +87,7 @@ def power_of_two_check(k: int, cap: int | None = None) -> bool:
         raise ValueError("exponent must be >= 1")
     ensure_within(k, cap, DEFAULT_EXPONENT_CAP, "exponent")
     n = 1 << k
-    return all(cvt(a, n - a) == 2 for a in range(1, n, 2))
+    return all((a & (n - a)) << 1 == 2 for a in range(1, n, 2))
 
 
 def is_prime(n: int) -> bool:
@@ -261,4 +260,4 @@ def _stream_pgm(limit: int, cap: int | None = None):
     linear in the side; the peak is cvt(limit, limit) = 2 limit, as
     cvt(x, y) = 2 (x & y) <= 2 min(x, y)."""
     odds = _grid_odds(limit, cap)
-    return _pgm_lines(len(odds), 2 * limit, ((cvt(x, y) for x in odds) for y in odds))
+    return _pgm_lines(len(odds), 2 * limit, (((x & y) << 1 for x in odds) for y in odds))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .core import _require_naturals
 from .limits import ensure_within
 
 __all__ = [
@@ -43,9 +44,13 @@ class NodeClass(Enum):
 
 
 def _checked_pair(pair):
-    x, y = pair
-    if x < 0 or y < 0:
-        raise ValueError("operands must be non-negative integers")
+    try:
+        x, y = pair
+    except ValueError:
+        raise ValueError(f"expected a pair of two coordinates, got {pair!r}") from None
+    # per-cell callers: plain naturals skip the call, the rest meet the one rule
+    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+        _require_naturals(x, y)
     return x, y
 
 
@@ -124,15 +129,20 @@ def depth_of(pair) -> int:
 class CvtXorTree:
     """Immutable tree for one sum: share freely across readers.
 
-    parent has no entry for the root; children holds a (possibly empty)
-    ascending tuple for every node, so edge count == len(parent) == n.
+    Node a is the split (a, n - a), and every field is a tuple indexed
+    by a: parent[a] is the node it steps to, (a & (n - a)) << 1, or
+    None at the root 0; children[a] is the ascending tuple of nodes
+    stepping to a; depth[a] is the hop count to the root.
     """
 
     n: int
-    nodes: frozenset
-    parent: dict
-    children: dict
-    depth: dict
+    parent: tuple
+    children: tuple
+    depth: tuple
+
+    @property
+    def nodes(self) -> range:
+        return range(self.n + 1)
 
     @property
     def root(self) -> tuple:
@@ -140,35 +150,34 @@ class CvtXorTree:
 
     @property
     def edge_count(self) -> int:
-        return len(self.parent)
+        return self.n
+
+
+def _tree(n, parent, depth):
+    """Freeze a builder's lists; children come out ascending as a runs 0..n."""
+    children = [[] for _ in parent]
+    for a, p in enumerate(parent):
+        if p is not None:
+            children[p].append(a)
+    return CvtXorTree(n, tuple(parent), tuple(map(tuple, children)), tuple(depth))
 
 
 def build_top_down(n: int, cap: int | None = None) -> CvtXorTree:
-    """Breadth-first expansion from (0, n) through predecessor sets.
-
-    Children are stored ascending by first coordinate, which makes the
-    whole structure (and every export) deterministic.
-    """
+    """Breadth-first expansion from (0, n) through predecessor sets."""
+    _require_naturals(n)
     ensure_within(n, cap, DEFAULT_TREE_CAP, "tree sum")
-    root = (0, n)
-    nodes = {root}
-    parent = {}
-    children = {}
-    depth = {root: 0}
-    queue = deque([root])
+    parent = [None] * (n + 1)
+    depth = [0] * (n + 1)
+    queue = deque([0])
     while queue:
-        node = queue.popleft()
-        kids = sorted(p for p in predecessors_of(node) if p != node)
-        children[node] = tuple(kids)
-        d = depth[node] + 1
-        for kid in kids:
-            nodes.add(kid)
-            parent[kid] = node
-            depth[kid] = d
-            queue.append(kid)
-    return CvtXorTree(
-        n=n, nodes=frozenset(nodes), parent=parent, children=children, depth=depth
-    )
+        a = queue.popleft()
+        d = depth[a] + 1
+        for kid, _ in predecessors_of((a, n - a)):
+            if kid != a:  # only the root is its own predecessor
+                parent[kid] = a
+                depth[kid] = d
+                queue.append(kid)
+    return _tree(n, parent, depth)
 
 
 def build_bottom_up(n: int, cap: int | None = None) -> CvtXorTree:
@@ -177,32 +186,23 @@ def build_bottom_up(n: int, cap: int | None = None) -> CvtXorTree:
 
     Node-for-node and edge-for-edge identical to build_top_down(n).
     """
-    if n < 0:
-        raise ValueError("tree sum must be non-negative")
+    _require_naturals(n)
     ensure_within(n, cap, DEFAULT_TREE_CAP, "tree sum")
-    root = (0, n)
-    depth = {root: 0}
-    parent = {}
+    parent = [None] * (n + 1)
+    depth = [0] + [None] * n
     for a in range(1, n + 1):
         chain = []
-        cur = (a, n - a)
-        while cur not in depth:
+        cur = a
+        while depth[cur] is None:
             chain.append(cur)
-            cur = parent_of(cur)
+            cur = (cur & (n - cur)) << 1
         d = depth[cur]
-        anchor = cur
         for link in reversed(chain):
-            parent[link] = anchor
+            parent[link] = cur
             d += 1
             depth[link] = d
-            anchor = link
-    kids = {node: [] for node in depth}
-    for child, par in parent.items():
-        kids[par].append(child)
-    children = {node: tuple(sorted(k)) for node, k in kids.items()}
-    return CvtXorTree(
-        n=n, nodes=frozenset(depth), parent=parent, children=children, depth=depth
-    )
+            cur = link
+    return _tree(n, parent, depth)
 
 
 @dataclass(frozen=True)
@@ -220,55 +220,51 @@ def tree_stats(tree: CvtXorTree) -> TreeStats:
     average_depth is an exact rational; the root never counts as a
     leaf, so the bare tree for n = 0 reports zero leaves.
     """
-    per_depth = {}
-    for d in tree.depth.values():
-        per_depth[d] = per_depth.get(d, 0) + 1
-    count = len(tree.nodes)
-    leaves = sum(
-        1 for node in tree.nodes if node != tree.root and not tree.children[node]
-    )
+    per_depth = [0] * (max(tree.depth) + 1)  # a node at depth d has ancestors at every depth below
+    for d in tree.depth:
+        per_depth[d] += 1
+    count = tree.n + 1
     return TreeStats(
         node_count=count,
-        leaf_count=leaves,
-        max_depth=max(per_depth),
-        average_depth=Fraction(sum(tree.depth.values()), count),
-        nodes_per_depth=dict(sorted(per_depth.items())),
+        leaf_count=sum(1 for kids in tree.children[1:] if not kids),
+        max_depth=len(per_depth) - 1,
+        average_depth=Fraction(sum(tree.depth), count),
+        nodes_per_depth=dict(enumerate(per_depth)),
     )
 
 
 def export_dot(tree: CvtXorTree) -> str:
     """Graphviz document: child -> parent edges, the root double-circled
     and carrying its "self" loop.  Byte-deterministic for a given n."""
-    lines = [f"digraph cvtxor_{tree.n} {{"]
-    for x, y in sorted(tree.nodes):
-        attr = " [shape=doublecircle]" if (x, y) == tree.root else ""
-        lines.append(f'  "({x},{y})"{attr};')
-    rx, ry = tree.root
-    lines.append(f'  "({rx},{ry})" -> "({rx},{ry})" [label="self"];')
-    for cx, cy in sorted(tree.parent):
-        px, py = tree.parent[(cx, cy)]
-        lines.append(f'  "({cx},{cy})" -> "({px},{py})";')
+    n = tree.n
+    lines = [f"digraph cvtxor_{n} {{", f'  "(0,{n})" [shape=doublecircle];']
+    lines += (f'  "({a},{n - a})";' for a in range(1, n + 1))
+    lines.append(f'  "(0,{n})" -> "(0,{n})" [label="self"];')
+    lines += (
+        f'  "({a},{n - a})" -> "({p},{n - p})";'
+        for a, p in enumerate(tree.parent)
+        if p is not None
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(tree: CvtXorTree) -> str:
-    """Lossless structured dump, nodes sorted by coordinates.
+    """Lossless structured dump, nodes in the order a = 0..n.
 
     Top-level keys: "n", "node_count", "nodes"; each node carries x, y,
     depth, class, and parent ([x, y], or null for the root).
     """
-    nodes = []
-    for x, y in sorted(tree.nodes):
-        p = tree.parent.get((x, y))
-        nodes.append(
-            {
-                "x": x,
-                "y": y,
-                "depth": tree.depth[(x, y)],
-                "class": classify_node((x, y)).value,
-                "parent": list(p) if p is not None else None,
-            }
-        )
-    doc = {"n": tree.n, "node_count": len(tree.nodes), "nodes": nodes}
+    n = tree.n
+    nodes = [
+        {
+            "x": a,
+            "y": n - a,
+            "depth": tree.depth[a],
+            "class": classify_node((a, n - a)).value,
+            "parent": [p, n - p] if p is not None else None,
+        }
+        for a, p in enumerate(tree.parent)
+    ]
+    doc = {"n": n, "node_count": n + 1, "nodes": nodes}
     return json.dumps(doc, indent=2) + "\n"

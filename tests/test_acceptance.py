@@ -45,6 +45,12 @@ def test_c01_every_tree_has_one_node_per_splitting():
         tree = build_top_down(n)
         if len(tree.nodes) != n + 1:
             failures.append((n, len(tree.nodes)))
+        # nodes is range(n + 1); what makes the count real is that the
+        # search reached every split, each at its own depth
+        if len(tree.parent) != n + 1 or tree.parent[0] is not None or None in tree.parent[1:]:
+            failures.append(("unreached", n))
+        if list(tree.depth) != [depth_of((a, n - a)) for a in range(n + 1)]:
+            failures.append(("depth", n))
     _report(1, "trees up to 2048 have exactly total-plus-one nodes", failures)
 
 
@@ -147,7 +153,7 @@ def test_c10_matrices_are_consistent_with_the_trees():
     failures = []
     for n in range(257):
         tree = build_top_down(n)
-        if anti_diagonal(depth, n) != [tree.depth[(n - k, k)] for k in range(n + 1)]:
+        if anti_diagonal(depth, n) != [tree.depth[n - k] for k in range(n + 1)]:
             failures.append(("depth", n))
         if sum(anti_diagonal(freq, n)) != n:
             failures.append(("freq-sum", n))

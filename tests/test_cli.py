@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, atomic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +92,63 @@ def test_stats_report_golden(capsys):
         "average_depth: 25/9 (2.777778)\n"
         "nodes_per_depth: 0:1 1:1 2:1 3:2 4:4\n"
     )
+
+
+def test_tree_json_golden(capsys):
+    code, out, _ = _capture(capsys, ["tree", "2", "--format", "json"])
+    assert code == 0
+    assert out == (
+        "{\n"
+        '  "n": 2,\n'
+        '  "node_count": 3,\n'
+        '  "nodes": [\n'
+        "    {\n"
+        '      "x": 0,\n'
+        '      "y": 2,\n'
+        '      "depth": 0,\n'
+        '      "class": "Root",\n'
+        '      "parent": null\n'
+        "    },\n"
+        "    {\n"
+        '      "x": 1,\n'
+        '      "y": 1,\n'
+        '      "depth": 2,\n'
+        '      "class": "OddLeaf",\n'
+        '      "parent": [\n'
+        "        2,\n"
+        "        0\n"
+        "      ]\n"
+        "    },\n"
+        "    {\n"
+        '      "x": 2,\n'
+        '      "y": 0,\n'
+        '      "depth": 1,\n'
+        '      "class": "Internal",\n'
+        '      "parent": [\n'
+        "        0,\n"
+        "        2\n"
+        "      ]\n"
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["tree", "1000"], "9104107306fbbdf5c92d1e893f8d696ab087be5cb390f23d369835b5aa520a40"),
+        (
+            ["tree", "1000", "--format", "json"],
+            "213af3164083f8656570e551f2a774c9a4f1e395e3578bdf541d2a0ac17f0a66",
+        ),
+        (["stats", "1000"], "9926dc1e7fd49fa5015417c0d267083f1d106d2cd2b42509e31ad535d726011c"),
+    ],
+)
+def test_tree_outputs_match_their_sha256_goldens(capsys, argv, digest):
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_matrix_csv_header_and_shape(capsys):

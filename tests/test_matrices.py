@@ -64,7 +64,7 @@ def test_pinned_depth_diagonal():
 def test_diagonal_is_the_tree_in_coordinate_order():
     matrix = build_matrix(MatrixKind.DEPTH, 12)
     tree = build_top_down(12)
-    assert anti_diagonal(matrix, 12) == [tree.depth[(12 - k, k)] for k in range(13)]
+    assert anti_diagonal(matrix, 12) == [tree.depth[12 - k] for k in range(13)]
 
 
 def test_frequency_diagonals_sum_to_their_totals():

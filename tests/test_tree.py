@@ -1,5 +1,6 @@
 """Convergence trees: predecessors, classification, both builders."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 from cvtxor import (
     LimitError,
     NodeClass,
+    add_recursive,
+    bit_length,
     build_bottom_up,
     build_top_down,
     classify_node,
+    cvt,
     depth_of,
     export_dot,
     export_json,
@@ -19,6 +23,7 @@ from cvtxor import (
     predecessor_count,
     predecessors_of,
     tree_stats,
+    xor,
 )
 from oracles import brute_predecessors, carry_chain_depth, chain_depth
 
@@ -100,8 +105,12 @@ def test_depth_matches_the_longest_carry_chain(pair):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 18, 40, 100, 255, 256])
 def test_tree_has_one_node_per_splitting(n):
     tree = build_top_down(n)
-    assert tree.nodes == frozenset((a, n - a) for a in range(n + 1))
+    assert tree.nodes == range(n + 1)
     assert len(tree.nodes) == n + 1
+    assert len(tree.parent) == len(tree.children) == len(tree.depth) == n + 1
+    assert tree.parent[0] is None
+    assert None not in tree.parent[1:]
+    assert list(tree.depth) == [depth_of((a, n - a)) for a in range(n + 1)]
     assert tree.root == (0, n)
     assert tree.edge_count == n
 
@@ -118,17 +127,17 @@ def test_builders_agree(n):
 
 def test_children_are_sorted_and_parent_linked():
     tree = build_top_down(40)
-    for node, kids in tree.children.items():
+    for node, kids in enumerate(tree.children):
         assert list(kids) == sorted(kids)
         for kid in kids:
             assert tree.parent[kid] == node
-    assert tree.root not in tree.parent  # the self step is metadata, not an edge
+    assert tree.parent[0] is None  # the self step is metadata, not an edge
 
 
 def test_root_self_step_is_not_a_child_edge():
     tree = build_top_down(8)
-    assert tree.root not in tree.children[tree.root]
-    assert tree.children[tree.root] == ((8, 0),)
+    assert 0 not in tree.children[0]
+    assert tree.children[0] == (8,)
 
 
 def test_stats_for_the_nine_node_tree():
@@ -169,6 +178,35 @@ def test_negative_inputs_rejected():
         predecessor_count((0, -1))
     with pytest.raises(ValueError):
         depth_of((0, -1))
+
+
+PAIR_FUNCTIONS = {
+    fn.__name__: fn
+    for fn in (parent_of, predecessors_of, predecessor_count, classify_node, depth_of)
+}
+SCALAR_CALLS = {
+    "cvt": lambda bad: cvt(bad, 2),
+    "xor": lambda bad: xor(2, bad),
+    "bit_length": bit_length,
+    "add_recursive": lambda bad: add_recursive(bad, 2),
+    "build_top_down": build_top_down,
+    "build_bottom_up": build_bottom_up,
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, (3,)], ids=["float", "bool", "short-pair"])
+@pytest.mark.parametrize("name", [*PAIR_FUNCTIONS, *SCALAR_CALLS])
+def test_malformed_inputs_raise_a_typed_error_naming_them(name, bad):
+    # A bool or non-int operand, coordinate or total is a TypeError; a
+    # pair that is not two items is a ValueError.
+    if name in SCALAR_CALLS:
+        call, error = SCALAR_CALLS[name], TypeError
+    elif isinstance(bad, tuple):
+        call, error = PAIR_FUNCTIONS[name], ValueError
+    else:
+        call, error = (lambda v: PAIR_FUNCTIONS[name]((v, 2))), TypeError
+    with pytest.raises(error, match=re.escape(repr(bad))):
+        call(bad)
 
 
 def test_dot_export_golden():
