@@ -8,97 +8,12 @@ carry word over odd pairs draws a fractal, and the prime splittings of
 an even total sit among the tree's leaves.
 """
 
-from .core import AdditionTrace, add_recursive, bit_length, cvt, xor
-from .limits import LimitError
-from .matrices import (
-    AnalysisMatrix,
-    DEFAULT_MATRIX_CAP,
-    DiagonalStats,
-    MatrixKind,
-    anti_diagonal,
-    build_matrix,
-    diagonal_stats,
-    export_csv,
-    parent_occurrences,
-)
-from .numtheory import (
-    DEFAULT_GRID_CAP,
-    DEFAULT_SWEEP_CAP,
-    FractalGrid,
-    GoldbachPair,
-    GoldbachReport,
-    SweepSummary,
-    export_pgm,
-    goldbach_pairs,
-    goldbach_sweep,
-    is_prime,
-    odd_odd_cvt_grid,
-    palindrome_row,
-    power_of_two_check,
-    prime_sieve,
-)
-from .tree import (
-    CvtXorTree,
-    DEFAULT_TREE_CAP,
-    NodeClass,
-    TreeStats,
-    build_bottom_up,
-    build_top_down,
-    classify_node,
-    depth_of,
-    export_dot,
-    export_json,
-    parent_of,
-    predecessor_count,
-    predecessors_of,
-    tree_stats,
-)
+from . import core, matrices, numtheory, tree
+from .core import *
+from .matrices import *
+from .numtheory import *
+from .tree import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditionTrace",
-    "AnalysisMatrix",
-    "CvtXorTree",
-    "DEFAULT_GRID_CAP",
-    "DEFAULT_MATRIX_CAP",
-    "DEFAULT_SWEEP_CAP",
-    "DEFAULT_TREE_CAP",
-    "DiagonalStats",
-    "FractalGrid",
-    "GoldbachPair",
-    "GoldbachReport",
-    "LimitError",
-    "MatrixKind",
-    "NodeClass",
-    "SweepSummary",
-    "TreeStats",
-    "add_recursive",
-    "anti_diagonal",
-    "bit_length",
-    "build_bottom_up",
-    "build_matrix",
-    "build_top_down",
-    "classify_node",
-    "cvt",
-    "depth_of",
-    "diagonal_stats",
-    "export_csv",
-    "export_dot",
-    "export_json",
-    "export_pgm",
-    "goldbach_pairs",
-    "goldbach_sweep",
-    "is_prime",
-    "odd_odd_cvt_grid",
-    "palindrome_row",
-    "parent_occurrences",
-    "parent_of",
-    "power_of_two_check",
-    "predecessor_count",
-    "predecessors_of",
-    "prime_sieve",
-    "tree_stats",
-    "xor",
-    "__version__",
-]
+__all__ = [*core.__all__, *matrices.__all__, *numtheory.__all__, *tree.__all__, "__version__"]

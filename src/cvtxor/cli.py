@@ -17,8 +17,7 @@ import re
 import sys
 import tempfile
 
-from .core import add_recursive
-from .limits import LimitError, ensure_within
+from .core import LimitError, add_recursive, ensure_within
 from .matrices import MatrixKind, _csv_lines, _rows
 from .numtheory import (
     DEFAULT_GRID_CAP,
@@ -120,7 +119,7 @@ def _cmd_tree(args):
 def _cmd_stats(args):
     st = tree_stats(build_top_down(args.n, cap=_active_cap(args)))
     avg = st.average_depth
-    per_depth = " ".join(f"{d}:{st.nodes_per_depth[d]}" for d in sorted(st.nodes_per_depth))
+    per_depth = " ".join(f"{d}:{count}" for d, count in st.nodes_per_depth.items())
     return (
         f"node_count: {st.node_count}\n"
         f"leaf_count: {st.leaf_count}\n"

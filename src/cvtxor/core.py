@@ -5,11 +5,14 @@ carry-free sum word whose total equals the ordinary sum.  Re-splitting
 the two words drives the carry to zero in at most one step more than
 the width of the wider operand.  Everything here works on plain Python
 ints, so operands are arbitrary precision and nothing can overflow.
+
+The two argument rules every module applies live here too: the input
+rule (non-negative ints) and the size rule (the per-construction cap).
 """
 
 from dataclasses import dataclass
 
-__all__ = ["cvt", "xor", "bit_length", "add_recursive", "AdditionTrace"]
+__all__ = ["cvt", "xor", "bit_length", "add_recursive", "AdditionTrace", "LimitError"]
 
 
 def _require_naturals(*values):
@@ -20,6 +23,20 @@ def _require_naturals(*values):
             raise TypeError(f"expected a non-negative integer, got {v!r}")
         if v < 0:
             raise ValueError(f"expected a non-negative integer, got {v}")
+
+
+class LimitError(Exception):
+    """A requested construction exceeds the active size cap."""
+
+
+def ensure_within(value, cap, default, what):
+    """The size rule: raise LimitError if value is above the active cap.
+
+    cap=None means "use the module default"; anything else overrides it.
+    """
+    active = default if cap is None else cap
+    if value > active:
+        raise LimitError(f"{what} {value} exceeds the active limit {active}")
 
 
 def cvt(x: int, y: int) -> int:

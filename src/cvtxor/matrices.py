@@ -8,11 +8,12 @@ exportable view of every tree up to the bound.  Storage is a dense
 the CSV row by row instead and never holds the square.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .limits import ensure_within
+from .core import _require_naturals, ensure_within
 from .tree import depth_of, parent_of, predecessor_count
 
 __all__ = [
@@ -54,8 +55,7 @@ def _child_count(pair):
 
 def _rows(kind, n_max, cap):
     """Checks the arguments now; the rows (cells (i, 0..n_max)) come lazily."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _require_naturals(n_max)
     ensure_within(n_max, cap, DEFAULT_MATRIX_CAP, "matrix bound")
     if kind is MatrixKind.DEPTH:
         cell = depth_of
@@ -74,7 +74,8 @@ def build_matrix(kind: MatrixKind, n_max: int, cap: int | None = None) -> Analys
 
 
 def _check_diagonal(matrix, n):
-    if not 0 <= n <= matrix.n_max:
+    _require_naturals(n)
+    if n > matrix.n_max:
         raise ValueError(f"diagonal {n} outside 0..{matrix.n_max}")
 
 
@@ -100,13 +101,10 @@ def diagonal_stats(matrix: AnalysisMatrix, n: int) -> DiagonalStats:
     if matrix.kind is not MatrixKind.DEPTH:
         raise ValueError("diagonal_stats needs a depth matrix")
     diagonal = anti_diagonal(matrix, n)
-    histogram = {}
-    for d in diagonal:
-        histogram[d] = histogram.get(d, 0) + 1
     return DiagonalStats(
         max_depth=max(diagonal),
         average_height=Fraction(sum(diagonal), n + 1),
-        histogram=dict(sorted(histogram.items())),
+        histogram=dict(sorted(Counter(diagonal).items())),
     )
 
 

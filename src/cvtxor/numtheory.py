@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .limits import ensure_within
+from .core import _require_naturals, ensure_within
 from .tree import NodeClass, classify_node, depth_of
 
 __all__ = [
@@ -58,6 +58,7 @@ class FractalGrid:
 
 
 def _grid_odds(limit, cap):
+    _require_naturals(limit)
     if limit < 1 or limit % 2 == 0:
         raise ValueError("grid limit must be odd and >= 1")
     ensure_within(limit, cap, DEFAULT_GRID_CAP, "grid limit")
@@ -72,6 +73,7 @@ def odd_odd_cvt_grid(limit: int, cap: int | None = None) -> FractalGrid:
 
 def palindrome_row(n: int) -> list:
     """Carry values cvt(k, n - k) over odd k; reads the same reversed."""
+    _require_naturals(n)
     if n < 2 or n % 2:
         raise ValueError("row total must be even and >= 2")
     return [(k & (n - k)) << 1 for k in range(1, n, 2)]
@@ -83,6 +85,7 @@ def power_of_two_check(k: int, cap: int | None = None) -> bool:
     Splitting a power of two into two odd parts leaves every bit above
     the lowest complementary, so the only carry comes out of bit one.
     """
+    _require_naturals(k)
     if k < 1:
         raise ValueError("exponent must be >= 1")
     ensure_within(k, cap, DEFAULT_EXPONENT_CAP, "exponent")
@@ -122,8 +125,7 @@ def is_prime(n: int) -> bool:
 
 def prime_sieve(limit: int) -> bytearray:
     """Flags indexed 0..limit: sieve[k] == 1 iff k is prime."""
-    if limit < 0:
-        raise ValueError("sieve limit must be non-negative")
+    _require_naturals(limit)
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0 : min(2, limit + 1)] = b"\x00" * min(2, limit + 1)
     for p in range(2, isqrt(limit) + 1):
@@ -164,6 +166,7 @@ def _report_from_sieve(n, sieve):
 
 
 def _check_even_total(n):
+    _require_naturals(n)
     if n < 4 or n % 2:
         raise ValueError("total must be even and >= 4")
 
@@ -198,11 +201,12 @@ def goldbach_sweep(
     start: int, stop: int, per_n: bool = False, cap: int | None = None
 ) -> SweepSummary:
     _check_even_total(start)
+    _require_naturals(stop)
     if stop < start or stop % 2:
         raise ValueError("range end must be even and >= the start")
     ensure_within(stop, cap, DEFAULT_SWEEP_CAP, "sweep bound")
     sieve = prime_sieve(stop)
-    primes = [p for p in range(2, stop // 2 + 1) if sieve[p]]
+    primes = list(compress(range(stop // 2 + 1), sieve))
     counterexamples = []
     all_odd_leaf = 0
     reports = [] if per_n else None

@@ -8,13 +8,12 @@ metadata (and drawn by the exporters), never stored as a parent edge.
 """
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import _require_naturals
-from .limits import ensure_within
+from .core import _require_naturals, ensure_within
 
 __all__ = [
     "DEFAULT_TREE_CAP",
@@ -220,16 +219,13 @@ def tree_stats(tree: CvtXorTree) -> TreeStats:
     average_depth is an exact rational; the root never counts as a
     leaf, so the bare tree for n = 0 reports zero leaves.
     """
-    per_depth = [0] * (max(tree.depth) + 1)  # a node at depth d has ancestors at every depth below
-    for d in tree.depth:
-        per_depth[d] += 1
     count = tree.n + 1
     return TreeStats(
         node_count=count,
         leaf_count=sum(1 for kids in tree.children[1:] if not kids),
-        max_depth=len(per_depth) - 1,
+        max_depth=max(tree.depth),
         average_depth=Fraction(sum(tree.depth), count),
-        nodes_per_depth=dict(enumerate(per_depth)),
+        nodes_per_depth=dict(sorted(Counter(tree.depth).items())),
     )
 
 

@@ -9,19 +9,28 @@ from hypothesis import strategies as st
 
 from cvtxor import (
     LimitError,
+    MatrixKind,
     NodeClass,
     add_recursive,
+    anti_diagonal,
     bit_length,
     build_bottom_up,
+    build_matrix,
     build_top_down,
     classify_node,
     cvt,
     depth_of,
     export_dot,
     export_json,
+    goldbach_pairs,
+    goldbach_sweep,
+    odd_odd_cvt_grid,
+    palindrome_row,
     parent_of,
+    power_of_two_check,
     predecessor_count,
     predecessors_of,
+    prime_sieve,
     tree_stats,
     xor,
 )
@@ -191,6 +200,14 @@ SCALAR_CALLS = {
     "add_recursive": lambda bad: add_recursive(bad, 2),
     "build_top_down": build_top_down,
     "build_bottom_up": build_bottom_up,
+    "build_matrix": lambda bad: build_matrix(MatrixKind.DEPTH, bad),
+    "anti_diagonal": lambda bad: anti_diagonal(build_matrix(MatrixKind.DEPTH, 2), bad),
+    "odd_odd_cvt_grid": odd_odd_cvt_grid,
+    "palindrome_row": palindrome_row,
+    "power_of_two_check": power_of_two_check,
+    "prime_sieve": prime_sieve,
+    "goldbach_pairs": goldbach_pairs,
+    "goldbach_sweep": lambda bad: goldbach_sweep(4, bad),
 }
 
 
