@@ -28,10 +28,10 @@ from .numtheory import (
 )
 from .tree import (
     DEFAULT_TREE_CAP,
-    build_top_down,
+    _dot_lines,
+    _json_lines,
+    build_bottom_up,
     classify_node,
-    export_dot,
-    export_json,
     predecessors_of,
     tree_stats,
 )
@@ -70,16 +70,33 @@ def _active_cap(args):
     return int(env)
 
 
+# Characters per write when a handler streams lines: under PYTHONUNBUFFERED
+# or `python -u` each write to stdout is a system call of its own.  A size
+# rather than a line count, so long CSV rows do not swell a batch.
+_WRITE_CHARS = 1 << 16
+
+
+def _batched(lines):
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line)
+        if size >= _WRITE_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
+
+
 def _write_output(text, path):
-    lines = [text] if isinstance(text, str) else text  # matrix/fractal stream lines
+    chunks = [text] if isinstance(text, str) else _batched(text)  # tree/matrix/fractal
     if path is None:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".cvtxor-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(lines)
+            handle.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -110,14 +127,12 @@ def _cmd_preds(args):
 
 
 def _cmd_tree(args):
-    tree = build_top_down(args.n, cap=_active_cap(args))
-    if args.format == "json":
-        return export_json(tree)
-    return export_dot(tree)
+    tree = build_bottom_up(args.n, cap=_active_cap(args))
+    return _json_lines(tree) if args.format == "json" else _dot_lines(tree)
 
 
 def _cmd_stats(args):
-    st = tree_stats(build_top_down(args.n, cap=_active_cap(args)))
+    st = tree_stats(build_bottom_up(args.n, cap=_active_cap(args)))
     avg = st.average_depth
     per_depth = " ".join(f"{d}:{count}" for d, count in st.nodes_per_depth.items())
     return (

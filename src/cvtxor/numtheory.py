@@ -12,7 +12,7 @@ from itertools import compress
 from math import isqrt
 
 from .core import _require_naturals, ensure_within
-from .tree import NodeClass, classify_node, depth_of
+from .tree import NodeClass, _node_class, depth_of
 
 __all__ = [
     "DEFAULT_GRID_CAP",
@@ -158,9 +158,9 @@ def _report_from_sieve(n, sieve):
     pairs = []
     for p in compress(range(n // 2 + 1), sieve):
         if sieve[n - p]:
-            node = (p, n - p)
+            q = n - p
             pairs.append(
-                GoldbachPair(p=p, q=n - p, node_class=classify_node(node), depth=depth_of(node))
+                GoldbachPair(p=p, q=q, node_class=_node_class(p, q), depth=depth_of((p, q)))
             )
     return GoldbachReport(n=n, pairs=tuple(pairs))
 

@@ -7,7 +7,6 @@ The root is a fixed point of the map; its self-loop is kept as
 metadata (and drawn by the exporters), never stored as a parent edge.
 """
 
-import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -105,6 +104,10 @@ def classify_node(pair) -> NodeClass:
     above a set xor bit.
     """
     x, y = _checked_pair(pair)
+    return _node_class(x, y)
+
+
+def _node_class(x, y):
     if x == 0:
         return NodeClass.ROOT
     if x & 1:
@@ -229,20 +232,37 @@ def tree_stats(tree: CvtXorTree) -> TreeStats:
     )
 
 
+def _dot_lines(tree):
+    """export_dot's document, one line at a time."""
+    n = tree.n
+    yield f"digraph cvtxor_{n} {{\n"
+    yield f'  "(0,{n})" [shape=doublecircle];\n'
+    yield from (f'  "({a},{n - a})";\n' for a in range(1, n + 1))
+    yield f'  "(0,{n})" -> "(0,{n})" [label="self"];\n'
+    for a, p in enumerate(tree.parent):
+        if p is not None:
+            yield f'  "({a},{n - a})" -> "({p},{n - p})";\n'
+    yield "}\n"
+
+
 def export_dot(tree: CvtXorTree) -> str:
     """Graphviz document: child -> parent edges, the root double-circled
     and carrying its "self" loop.  Byte-deterministic for a given n."""
-    n = tree.n
-    lines = [f"digraph cvtxor_{n} {{", f'  "(0,{n})" [shape=doublecircle];']
-    lines += (f'  "({a},{n - a})";' for a in range(1, n + 1))
-    lines.append(f'  "(0,{n})" -> "(0,{n})" [label="self"];')
-    lines += (
-        f'  "({a},{n - a})" -> "({p},{n - p})";'
-        for a, p in enumerate(tree.parent)
-        if p is not None
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_lines(tree))
+
+
+def _json_lines(tree):
+    """export_json's document node by node, in json.dumps(indent=2)'s layout."""
+    n, parent, depth = tree.n, tree.parent, tree.depth
+    yield f'{{\n  "n": {n},\n  "node_count": {n + 1},\n  "nodes": ['
+    for a, p in enumerate(parent):
+        link = "null" if p is None else f"[\n        {p},\n        {n - p}\n      ]"
+        yield (
+            f'{"," if a else ""}\n    {{\n      "x": {a},\n      "y": {n - a},\n'
+            f'      "depth": {depth[a]},\n      "class": "{_node_class(a, n - a).value}",\n'
+            f'      "parent": {link}\n    }}'
+        )
+    yield "\n  ]\n}\n"
 
 
 def export_json(tree: CvtXorTree) -> str:
@@ -251,16 +271,4 @@ def export_json(tree: CvtXorTree) -> str:
     Top-level keys: "n", "node_count", "nodes"; each node carries x, y,
     depth, class, and parent ([x, y], or null for the root).
     """
-    n = tree.n
-    nodes = [
-        {
-            "x": a,
-            "y": n - a,
-            "depth": tree.depth[a],
-            "class": classify_node((a, n - a)).value,
-            "parent": [p, n - p] if p is not None else None,
-        }
-        for a, p in enumerate(tree.parent)
-    ]
-    doc = {"n": n, "node_count": n + 1, "nodes": nodes}
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(_json_lines(tree))

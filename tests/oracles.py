@@ -3,9 +3,12 @@
 Everything here is written the slow, obvious way on purpose: carries
 placed bit position by bit position, predecessors found by scanning a
 whole anti-diagonal, depth by literally walking the chain (and, as a
-second view, by measuring carry chains), primality by trial division.
-None of it shares code with the package.
+second view, by measuring carry chains), primality by trial division,
+tree documents by the standard json encoder.  None of it shares code
+with the package.
 """
+
+import json
 
 
 def carry_word(x, y):
@@ -36,6 +39,54 @@ def chain_depth(pair):
         a, b = carry_word(a, b), a ^ b
         steps += 1
     return steps
+
+
+def _diagonal_parents(n):
+    """First coordinate of each split's (carry, xor) image, a = 0..n.
+
+    The image of (a, n - a) sums to n again, so its first coordinate
+    names it; a split has predecessors (brute_predecessors is not
+    empty) exactly when it is the image of some split.
+    """
+    return [carry_word(a, n - a) for a in range(n + 1)]
+
+
+def tree_json(n):
+    """The tree document for the total n, encoded by json.dumps."""
+    parents = _diagonal_parents(n)
+    stepped_to = set(parents[1:])  # the root's step to itself is no child edge
+    nodes = []
+    for a, p in enumerate(parents):
+        if a == 0:
+            kind = "Root"
+        elif a % 2:
+            kind = "OddLeaf"
+        elif a not in stepped_to:
+            kind = "ContradictoryEvenLeaf"
+        else:
+            kind = "Internal"
+        nodes.append({
+            "x": a,
+            "y": n - a,
+            "depth": chain_depth((a, n - a)),
+            "class": kind,
+            "parent": [p, n - p] if a else None,
+        })
+    return json.dumps({"n": n, "node_count": n + 1, "nodes": nodes}, indent=2) + "\n"
+
+
+def tree_dot(n):
+    """The tree for the total n as a Graphviz digraph: one vertex per
+    split, the root first and double-circled, then its self loop and one
+    child -> parent edge per other split."""
+    lines = [f"digraph cvtxor_{n} {{", f'  "(0,{n})" [shape=doublecircle];']
+    lines += [f'  "({a},{n - a})";' for a in range(1, n + 1)]
+    lines.append(f'  "(0,{n})" -> "(0,{n})" [label="self"];')
+    lines += [
+        f'  "({a},{n - a})" -> "({p},{n - p})";'
+        for a, p in enumerate(_diagonal_parents(n)) if a
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def carry_chain_depth(a, b):

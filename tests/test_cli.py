@@ -1,11 +1,13 @@
 """Command-line behavior: formats, exit codes, atomic output."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -14,14 +16,20 @@ from cvtxor import (
     DEFAULT_GRID_CAP,
     DEFAULT_MATRIX_CAP,
     MatrixKind,
+    build_bottom_up,
     build_matrix,
+    build_top_down,
     export_csv,
+    export_dot,
+    export_json,
     export_pgm,
     odd_odd_cvt_grid,
+    tree_stats,
 )
-from cvtxor.cli import run
+from cvtxor.cli import _WRITE_CHARS, run
 from cvtxor.matrices import _csv_lines, _rows
 from cvtxor.numtheory import _stream_pgm
+from cvtxor.tree import _dot_lines, _json_lines
 
 
 def _capture(capsys, argv):
@@ -151,6 +159,24 @@ def test_tree_outputs_match_their_sha256_goldens(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", [0, 1, 1024, 4095, 1000])
+def test_tree_and_stats_output_equals_the_top_down_library_build(capsys, n):
+    # The CLI builds bottom-up; claim 9 says it must not matter.
+    tree = build_top_down(n)
+    assert _capture(capsys, ["tree", str(n)]) == (0, export_dot(tree), "")
+    assert _capture(capsys, ["tree", str(n), "--format", "json"]) == (0, export_json(tree), "")
+    code, out, _ = _capture(capsys, ["stats", str(n)])
+    fields = dict(line.split(": ") for line in out.splitlines())
+    st = tree_stats(tree)
+    assert code == 0
+    assert int(fields["node_count"]) == st.node_count
+    assert int(fields["leaf_count"]) == st.leaf_count
+    assert int(fields["max_depth"]) == st.max_depth
+    assert Fraction(fields["average_depth"].split()[0]) == st.average_depth
+    per_depth = dict(map(int, item.split(":")) for item in fields["nodes_per_depth"].split())
+    assert per_depth == st.nodes_per_depth
+
+
 def test_matrix_csv_header_and_shape(capsys):
     code, out, _ = _capture(capsys, ["matrix", "--kind", "freq", "--max", "8"])
     assert code == 0
@@ -189,6 +215,47 @@ def test_matrix_and_fractal_rows_are_computed_as_they_are_written():
     assert head[1].startswith("0,(0;0),(0;1),")
     assert head[3] == f"P2\n2048 2048\n{2 * DEFAULT_GRID_CAP}\n"
     assert peak < 4 << 20
+
+
+def test_tree_lines_are_rendered_as_they_are_written():
+    tree = build_bottom_up(1 << 17)
+    tracemalloc.start()
+    try:
+        head = list(islice(_dot_lines(tree), 3)) + list(islice(_json_lines(tree), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head[1] == '  "(0,131072)" [shape=doublecircle];\n'
+    assert head[3] == '{\n  "n": 131072,\n  "node_count": 131073,\n  "nodes": ['
+    assert peak < 1 << 20
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "4097"],
+        ["tree", "4097", "--format", "json"],
+        ["matrix", "--kind", "parent", "--max", "300"],
+    ],
+)
+def test_streamed_outputs_are_written_in_bounded_batches(monkeypatch, argv):
+    # One write per line costs a system call each when stdout is
+    # unbuffered; one write per whole document holds it all in memory.
+    sink = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(argv) == 0
+    assert max(sink.sizes) < 2 * _WRITE_CHARS
+    assert len(sink.sizes) <= len(sink.getvalue()) // _WRITE_CHARS + 1
 
 
 def test_triangle_marks_prime_splits(capsys):

@@ -34,7 +34,7 @@ from cvtxor import (
     tree_stats,
     xor,
 )
-from oracles import brute_predecessors, carry_chain_depth, chain_depth
+from oracles import brute_predecessors, carry_chain_depth, chain_depth, tree_dot, tree_json
 
 small_pairs = st.tuples(
     st.integers(min_value=0, max_value=512), st.integers(min_value=0, max_value=512)
@@ -246,6 +246,14 @@ def test_dot_export_names_every_node_once():
         assert f'"({a},{18 - a})"' in text
     # one parent edge per non-root node plus the root's self edge
     assert text.count(" -> ") == 19
+
+
+@pytest.mark.parametrize("build", [build_top_down, build_bottom_up])
+def test_exports_equal_the_oracle_documents(build):
+    for n in [*range(81), 255, 256, 1000, 4097]:
+        tree = build(n)
+        assert export_json(tree) == tree_json(n), n
+        assert export_dot(tree) == tree_dot(n), n
 
 
 def test_json_export_round_trips():
