@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or value error, 2 size-cap violation,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -70,39 +71,20 @@ def _active_cap(args):
     return int(env)
 
 
-# Characters per write when a handler streams lines: under PYTHONUNBUFFERED
-# or `python -u` each write to stdout is a system call of its own.  A size
-# rather than a line count, so long CSV rows do not swell a batch.
-_WRITE_CHARS = 1 << 16
-
-
-def _batched(lines):
-    batch, size = [], 0
-    for line in lines:
-        batch.append(line)
-        size += len(line)
-        if size >= _WRITE_CHARS:
-            yield "".join(batch)
-            batch, size = [], 0
-    yield "".join(batch)
-
-
 def _write_output(text, path):
-    chunks = [text] if isinstance(text, str) else _batched(text)  # tree/matrix/fractal
+    lines = [text] if isinstance(text, str) else text  # tree/matrix/fractal stream lines
     if path is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(lines)
         return
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".cvtxor-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+            handle.writelines(lines)
         os.replace(tmp, target)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

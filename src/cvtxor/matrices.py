@@ -46,25 +46,23 @@ class AnalysisMatrix:
     cells: tuple
 
 
-def _child_count(pair):
+def _kid_count(pair):
     count = predecessor_count(pair)
     if pair[0] == 0:
         count -= 1  # the root's self-loop is not a child edge
     return count
 
 
+_CELL = {MatrixKind.DEPTH: depth_of, MatrixKind.PARENT: parent_of, MatrixKind.FREQUENCY: _kid_count}
+
+
 def _rows(kind, n_max, cap):
     """Checks the arguments now; the rows (cells (i, 0..n_max)) come lazily."""
     _require_naturals(n_max)
     ensure_within(n_max, cap, DEFAULT_MATRIX_CAP, "matrix bound")
-    if kind is MatrixKind.DEPTH:
-        cell = depth_of
-    elif kind is MatrixKind.PARENT:
-        cell = parent_of
-    elif kind is MatrixKind.FREQUENCY:
-        cell = _child_count
-    else:
+    if not isinstance(kind, MatrixKind):
         raise ValueError(f"unknown matrix kind: {kind!r}")
+    cell = _CELL[kind]
     size = n_max + 1
     return (tuple(cell((i, j)) for j in range(size)) for i in range(size))
 

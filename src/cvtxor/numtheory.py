@@ -155,13 +155,11 @@ class GoldbachReport:
 
 
 def _report_from_sieve(n, sieve):
-    pairs = []
-    for p in compress(range(n // 2 + 1), sieve):
-        if sieve[n - p]:
-            q = n - p
-            pairs.append(
-                GoldbachPair(p=p, q=q, node_class=_node_class(p, q), depth=depth_of((p, q)))
-            )
+    pairs = (
+        GoldbachPair(p=p, q=n - p, node_class=_node_class(p, n - p), depth=depth_of((p, n - p)))
+        for p in compress(range(n // 2 + 1), sieve)
+        if sieve[n - p]
+    )
     return GoldbachReport(n=n, pairs=tuple(pairs))
 
 

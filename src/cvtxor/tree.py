@@ -103,8 +103,7 @@ def classify_node(pair) -> NodeClass:
     enumeration: a contradiction position is a set carry bit directly
     above a set xor bit.
     """
-    x, y = _checked_pair(pair)
-    return _node_class(x, y)
+    return _node_class(*_checked_pair(pair))
 
 
 def _node_class(x, y):
@@ -193,8 +192,7 @@ def build_bottom_up(n: int, cap: int | None = None) -> CvtXorTree:
     parent = [None] * (n + 1)
     depth = [0] + [None] * n
     for a in range(1, n + 1):
-        chain = []
-        cur = a
+        chain, cur = [], a
         while depth[cur] is None:
             chain.append(cur)
             cur = (cur & (n - cur)) << 1

@@ -1,7 +1,6 @@
 """Command-line behavior: formats, exit codes, atomic output."""
 
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -26,7 +25,7 @@ from cvtxor import (
     odd_odd_cvt_grid,
     tree_stats,
 )
-from cvtxor.cli import _WRITE_CHARS, run
+from cvtxor.cli import run
 from cvtxor.matrices import _csv_lines, _rows
 from cvtxor.numtheory import _stream_pgm
 from cvtxor.tree import _dot_lines, _json_lines
@@ -228,34 +227,6 @@ def test_tree_lines_are_rendered_as_they_are_written():
     assert head[1] == '  "(0,131072)" [shape=doublecircle];\n'
     assert head[3] == '{\n  "n": 131072,\n  "node_count": 131073,\n  "nodes": ['
     assert peak < 1 << 20
-
-
-class _CountedWrites(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.sizes = []
-
-    def write(self, text):
-        self.sizes.append(len(text))
-        return super().write(text)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["tree", "4097"],
-        ["tree", "4097", "--format", "json"],
-        ["matrix", "--kind", "parent", "--max", "300"],
-    ],
-)
-def test_streamed_outputs_are_written_in_bounded_batches(monkeypatch, argv):
-    # One write per line costs a system call each when stdout is
-    # unbuffered; one write per whole document holds it all in memory.
-    sink = _CountedWrites()
-    monkeypatch.setattr(sys, "stdout", sink)
-    assert run(argv) == 0
-    assert max(sink.sizes) < 2 * _WRITE_CHARS
-    assert len(sink.sizes) <= len(sink.getvalue()) // _WRITE_CHARS + 1
 
 
 def test_triangle_marks_prime_splits(capsys):
