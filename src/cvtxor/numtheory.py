@@ -100,6 +100,8 @@ def is_prime(n: int) -> bool:
     fixed witness; the witness set is known exact under _EXACT_BOUND,
     so anything larger is rejected rather than answered probabilistically.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"expected an integer, got {n!r}")
     if n > _EXACT_BOUND:
         raise ValueError(f"{n} exceeds the deterministic primality range")
     if n < 2:

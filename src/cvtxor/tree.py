@@ -11,6 +11,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .core import _require_naturals, ensure_within
 
@@ -130,16 +131,23 @@ def depth_of(pair) -> int:
 class CvtXorTree:
     """Immutable tree for one sum: share freely across readers.
 
-    Node a is the split (a, n - a), and every field is a tuple indexed
+    Node a is the split (a, n - a), and both fields are tuples indexed
     by a: parent[a] is the node it steps to, (a & (n - a)) << 1, or
-    None at the root 0; children[a] is the ascending tuple of nodes
-    stepping to a; depth[a] is the hop count to the root.
+    None at the root 0; depth[a] is the hop count to the root.
     """
 
     n: int
     parent: tuple
-    children: tuple
     depth: tuple
+
+    @cached_property
+    def children(self) -> tuple:
+        """children[a]: the ascending nodes stepping to a, derived on first read, then kept."""
+        kids = [[] for _ in self.parent]
+        for a, p in enumerate(self.parent):
+            if p is not None:
+                kids[p].append(a)
+        return tuple(map(tuple, kids))
 
     @property
     def nodes(self) -> range:
@@ -152,15 +160,6 @@ class CvtXorTree:
     @property
     def edge_count(self) -> int:
         return self.n
-
-
-def _tree(n, parent, depth):
-    """Freeze a builder's lists; children come out ascending as a runs 0..n."""
-    children = [[] for _ in parent]
-    for a, p in enumerate(parent):
-        if p is not None:
-            children[p].append(a)
-    return CvtXorTree(n, tuple(parent), tuple(map(tuple, children)), tuple(depth))
 
 
 def build_top_down(n: int, cap: int | None = None) -> CvtXorTree:
@@ -178,7 +177,7 @@ def build_top_down(n: int, cap: int | None = None) -> CvtXorTree:
                 parent[kid] = a
                 depth[kid] = d
                 queue.append(kid)
-    return _tree(n, parent, depth)
+    return CvtXorTree(n, tuple(parent), tuple(depth))
 
 
 def build_bottom_up(n: int, cap: int | None = None) -> CvtXorTree:
@@ -202,7 +201,7 @@ def build_bottom_up(n: int, cap: int | None = None) -> CvtXorTree:
             d += 1
             depth[link] = d
             cur = link
-    return _tree(n, parent, depth)
+    return CvtXorTree(n, tuple(parent), tuple(depth))
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def tree_stats(tree: CvtXorTree) -> TreeStats:
     count = tree.n + 1
     return TreeStats(
         node_count=count,
-        leaf_count=sum(1 for kids in tree.children[1:] if not kids),
+        leaf_count=tree.n - len(set(tree.parent[1:]).difference((0,))),
         max_depth=max(tree.depth),
         average_depth=Fraction(sum(tree.depth), count),
         nodes_per_depth=dict(sorted(Counter(tree.depth).items())),

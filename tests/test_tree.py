@@ -1,5 +1,6 @@
 """Convergence trees: predecessors, classification, both builders."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvtxor import (
+    CvtXorTree,
     LimitError,
     MatrixKind,
     NodeClass,
@@ -24,6 +26,7 @@ from cvtxor import (
     export_json,
     goldbach_pairs,
     goldbach_sweep,
+    is_prime,
     odd_odd_cvt_grid,
     palindrome_row,
     parent_of,
@@ -34,6 +37,7 @@ from cvtxor import (
     tree_stats,
     xor,
 )
+from cvtxor.tree import _dot_lines, _json_lines
 from oracles import brute_predecessors, carry_chain_depth, chain_depth, tree_dot, tree_json
 
 small_pairs = st.tuples(
@@ -134,6 +138,25 @@ def test_builders_agree(n):
     assert top.depth == bottom.depth
 
 
+def test_a_tree_stores_parent_and_depth_only():
+    assert tuple(f.name for f in dataclasses.fields(CvtXorTree)) == ("n", "parent", "depth")
+
+
+def test_no_build_stats_or_export_derives_children():
+    tree = build_bottom_up(40)
+    tree_stats(tree)
+    list(_dot_lines(tree))
+    list(_json_lines(tree))
+    assert "children" not in vars(tree)
+
+
+def test_leaf_count_matches_the_diagonal_scan():
+    for n in [*range(129), 255, 256]:
+        leaves = sum(not brute_predecessors((a, n - a)) for a in range(1, n + 1))
+        assert tree_stats(build_top_down(n)).leaf_count == leaves, n
+        assert tree_stats(build_bottom_up(n)).leaf_count == leaves, n
+
+
 def test_children_are_sorted_and_parent_linked():
     tree = build_top_down(40)
     for node, kids in enumerate(tree.children):
@@ -208,6 +231,7 @@ SCALAR_CALLS = {
     "prime_sieve": prime_sieve,
     "goldbach_pairs": goldbach_pairs,
     "goldbach_sweep": lambda bad: goldbach_sweep(4, bad),
+    "is_prime": is_prime,
 }
 
 
