@@ -24,7 +24,6 @@ from .numtheory import (
     DEFAULT_GRID_CAP,
     _stream_pgm,
     goldbach_sweep,
-    palindrome_row,
     prime_sieve,
 )
 from .tree import (
@@ -72,7 +71,7 @@ def _active_cap(args):
 
 
 def _write_output(text, path):
-    lines = [text] if isinstance(text, str) else text  # tree/matrix/fractal stream lines
+    lines = [text] if isinstance(text, str) else text  # tree/matrix/fractal/triangle stream lines
     if path is None:
         sys.stdout.writelines(lines)
         return
@@ -140,14 +139,15 @@ def _cmd_triangle(args):
         raise ValueError("triangle bound must be even and >= 2")
     ensure_within(args.n, _active_cap(args), DEFAULT_GRID_CAP, "triangle bound")
     sieve = prime_sieve(args.n)
-    lines = []
-    for n in range(2, args.n + 1, 2):
-        row = []
-        for k, value in zip(range(1, n, 2), palindrome_row(n)):
-            mark = "*" if sieve[k] and sieve[n - k] else ""
-            row.append(_fmt(value, args.binary) + mark)
-        lines.append(f"{n}: " + " ".join(row))
-    return "\n".join(lines) + "\n"
+    return (
+        f"{n}: "
+        + " ".join(
+            _fmt((k & (n - k)) << 1, args.binary) + ("*" if sieve[k] and sieve[n - k] else "")
+            for k in range(1, n, 2)
+        )
+        + "\n"
+        for n in range(2, args.n + 1, 2)
+    )
 
 
 def _cmd_goldbach(args):

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import _require_naturals, ensure_within
-from .tree import depth_of, parent_of, predecessor_count
+from .tree import _depth, _pred_count
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -46,14 +46,11 @@ class AnalysisMatrix:
     cells: tuple
 
 
-def _kid_count(pair):
-    count = predecessor_count(pair)
-    if pair[0] == 0:
-        count -= 1  # the root's self-loop is not a child edge
-    return count
-
-
-_CELL = {MatrixKind.DEPTH: depth_of, MatrixKind.PARENT: parent_of, MatrixKind.FREQUENCY: _kid_count}
+_CELL = {
+    MatrixKind.DEPTH: _depth,
+    MatrixKind.PARENT: lambda i, j: ((i & j) << 1, i ^ j),
+    MatrixKind.FREQUENCY: lambda i, j: _pred_count(i, j) - (i == 0),  # no root self-loop
+}
 
 
 def _rows(kind, n_max, cap):
@@ -64,7 +61,7 @@ def _rows(kind, n_max, cap):
         raise ValueError(f"unknown matrix kind: {kind!r}")
     cell = _CELL[kind]
     size = n_max + 1
-    return (tuple(cell((i, j)) for j in range(size)) for i in range(size))
+    return (tuple(cell(i, j) for j in range(size)) for i in range(size))
 
 
 def build_matrix(kind: MatrixKind, n_max: int, cap: int | None = None) -> AnalysisMatrix:

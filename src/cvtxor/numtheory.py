@@ -12,7 +12,7 @@ from itertools import compress
 from math import isqrt
 
 from .core import _require_naturals, ensure_within
-from .tree import NodeClass, _node_class, depth_of
+from .tree import NodeClass, _depth, _node_class
 
 __all__ = [
     "DEFAULT_GRID_CAP",
@@ -158,7 +158,7 @@ class GoldbachReport:
 
 def _report_from_sieve(n, sieve):
     pairs = (
-        GoldbachPair(p=p, q=n - p, node_class=_node_class(p, n - p), depth=depth_of((p, n - p)))
+        GoldbachPair(p=p, q=n - p, node_class=_node_class(p, n - p), depth=_depth(p, n - p))
         for p in compress(range(n // 2 + 1), sieve)
         if sieve[n - p]
     )

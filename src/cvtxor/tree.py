@@ -43,13 +43,12 @@ class NodeClass(Enum):
 
 
 def _checked_pair(pair):
+    """Unpack, then the input rule: once per public pair call, never in a loop."""
     try:
         x, y = pair
     except ValueError:
         raise ValueError(f"expected a pair of two coordinates, got {pair!r}") from None
-    # per-cell callers: plain naturals skip the call, the rest meet the one rule
-    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
-        _require_naturals(x, y)
+    _require_naturals(x, y)
     return x, y
 
 
@@ -71,27 +70,28 @@ def predecessors_of(pair) -> set:
     Note (0, n) is mathematically its own predecessor; tree builders
     drop that element, this raw inverse keeps it.
     """
-    x, y = _checked_pair(pair)
+    return set(_preds(*_checked_pair(pair)))
+
+
+def _preds(x, y):
     if x & 1 or (x >> 1) & y:
-        return set()
+        return
     base = x >> 1
-    preds = set()
     t = y
     while True:
-        preds.add((base | t, base | (y ^ t)))
+        yield (base | t, base | (y ^ t))
         if t == 0:
-            break
+            return
         t = (t - 1) & y
-    return preds
 
 
 def predecessor_count(pair) -> int:
-    """len(predecessors_of(pair)) without materializing the set.
+    """len(predecessors_of(pair)) without the set: zero on contradiction or odd
+    first coordinate, else 2 to the number of set bits of the second coordinate."""
+    return _pred_count(*_checked_pair(pair))
 
-    Zero on contradiction or odd first coordinate, else 2 to the number
-    of free positions (the set bits of the second coordinate).
-    """
-    x, y = _checked_pair(pair)
+
+def _pred_count(x, y):
     if x & 1 or (x >> 1) & y:
         return 0
     return 1 << y.bit_count()
@@ -119,7 +119,10 @@ def _node_class(x, y):
 
 def depth_of(pair) -> int:
     """Parent hops from the pair to the root of its own sum's tree."""
-    x, y = _checked_pair(pair)
+    return _depth(*_checked_pair(pair))
+
+
+def _depth(x, y):
     d = 0
     while x:
         x, y = (x & y) << 1, x ^ y
@@ -172,7 +175,7 @@ def build_top_down(n: int, cap: int | None = None) -> CvtXorTree:
     while queue:
         a = queue.popleft()
         d = depth[a] + 1
-        for kid, _ in predecessors_of((a, n - a)):
+        for kid, _ in _preds(a, n - a):
             if kid != a:  # only the root is its own predecessor
                 parent[kid] = a
                 depth[kid] = d

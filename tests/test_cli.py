@@ -150,6 +150,14 @@ def test_tree_json_golden(capsys):
             "213af3164083f8656570e551f2a774c9a4f1e395e3578bdf541d2a0ac17f0a66",
         ),
         (["stats", "1000"], "9926dc1e7fd49fa5015417c0d267083f1d106d2cd2b42509e31ad535d726011c"),
+        (
+            ["triangle", "4094"],
+            "66fc5df04c8900f2acfc3fe54b1d3d50079836907cb00271d576c4f0eabda8ba",
+        ),
+        (
+            ["triangle", "4094", "--binary"],
+            "cba970292b3d7f79bcc7f26fdc43cbe9f852f1eabb8b8cbba6958c807da11fd1",
+        ),
     ],
 )
 def test_tree_outputs_match_their_sha256_goldens(capsys, argv, digest):
@@ -297,6 +305,7 @@ def test_cap_violations_exit_two(capsys):
     assert _capture(capsys, ["tree", "100", "--limit", "50"])[0] == 2
     assert _capture(capsys, ["matrix", "--kind", "depth", "--max", "5000"])[0] == 2
     assert _capture(capsys, ["fractal", "--max", "4097"])[0] == 2
+    assert _capture(capsys, ["triangle", "4096"])[0] == 2
     assert _capture(capsys, ["preds", "0", str(2**20 + 2)])[0] == 2
 
 

@@ -17,7 +17,7 @@ from cvtxor import (
     predecessor_count,
     xor,
 )
-from oracles import carry_chain_depth, chain_depth
+from oracles import brute_predecessors, carry_chain_depth, chain_depth
 
 
 def test_depth_cells_match_the_walked_chains():
@@ -48,6 +48,14 @@ def test_frequency_cells_count_children():
             if i == 0:
                 expected -= 1  # the root's self step is not a child edge
             assert matrix.cells[i][j] == expected
+
+
+def test_frequency_cells_match_the_diagonal_scan():
+    matrix = build_matrix(MatrixKind.FREQUENCY, 32)
+    for i in range(33):
+        for j in range(33):
+            # the root's self step is not a child edge
+            assert matrix.cells[i][j] == len(brute_predecessors((i, j))) - (i == 0), (i, j)
 
 
 def test_frequency_odd_rows_vanish():

@@ -17,7 +17,7 @@ from cvtxor import (
     power_of_two_check,
     prime_sieve,
 )
-from oracles import carry_word, trial_division_prime
+from oracles import brute_predecessors, carry_word, chain_depth, trial_division_prime
 
 
 def test_primality_agrees_with_trial_division_exhaustively():
@@ -154,6 +154,19 @@ def test_sweep_detail_matches_single_total_reports():
     assert summary.reports is not None
     for report in summary.reports:
         assert report == goldbach_pairs(report.n)
+
+
+def test_pair_depth_and_class_match_the_oracles():
+    leaves = {NodeClass.ODD_LEAF, NodeClass.CONTRADICTORY_EVEN_LEAF}
+    totals = range(4, 301, 2)
+    reports = [goldbach_pairs(n) for n in totals]
+    reports += goldbach_sweep(4, 300, per_n=True).reports
+    assert [r.n for r in reports] == [*totals, *totals]
+    for report in reports:
+        for pair in report.pairs:
+            split = (pair.p, pair.q)
+            assert pair.depth == chain_depth(split), split
+            assert (pair.node_class in leaves) == (not brute_predecessors(split)), split
 
 
 def test_sweep_input_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cvtxor.tree
 from cvtxor import (
     CvtXorTree,
     LimitError,
@@ -136,6 +137,26 @@ def test_builders_agree(n):
     assert top.parent == bottom.parent
     assert top.children == bottom.children
     assert top.depth == bottom.depth
+
+
+def test_loops_never_call_the_pair_check(monkeypatch):
+    def build_all():
+        return (
+            [build_matrix(kind, 16) for kind in MatrixKind],
+            build_top_down(300),
+            goldbach_pairs(100),
+            goldbach_sweep(4, 100, per_n=True),
+        )
+
+    expected = build_all()
+
+    def forbidden(pair):
+        raise AssertionError(f"pair check called in a loop on {pair!r}")
+
+    monkeypatch.setattr(cvtxor.tree, "_checked_pair", forbidden)
+    assert build_all() == expected
+    with pytest.raises(AssertionError):
+        depth_of((1, 2))  # the patch is live for the public pair functions
 
 
 def test_a_tree_stores_parent_and_depth_only():
