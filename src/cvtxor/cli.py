@@ -20,12 +20,7 @@ import tempfile
 
 from .core import LimitError, add_recursive, ensure_within
 from .matrices import MatrixKind, _csv_lines, _rows
-from .numtheory import (
-    DEFAULT_GRID_CAP,
-    _stream_pgm,
-    goldbach_sweep,
-    prime_sieve,
-)
+from .numtheory import DEFAULT_GRID_CAP, _splits, _stream_pgm, _sweep, prime_sieve
 from .tree import (
     DEFAULT_TREE_CAP,
     _dot_lines,
@@ -71,7 +66,8 @@ def _active_cap(args):
 
 
 def _write_output(text, path):
-    lines = [text] if isinstance(text, str) else text  # tree/matrix/fractal/triangle stream lines
+    # tree, matrix, fractal, triangle and goldbach --per-n stream lines
+    lines = [text] if isinstance(text, str) else text
     if path is None:
         sys.stdout.writelines(lines)
         return
@@ -150,26 +146,30 @@ def _cmd_triangle(args):
     )
 
 
+def _per_n_lines(head, totals):
+    """The summary's json.dumps head reopened, then each total's "per_n" entry in its layout."""
+    yield head[:-2] + ',\n  "per_n": ['
+    for i, (n, splits) in enumerate(totals):
+        pairs = ",".join(
+            f'\n        {{\n          "p": {p},\n          "q": {n - p},\n'
+            f'          "class": "{c.value}",\n          "depth": {d}\n        }}'
+            for p, c, d in splits
+        )
+        pairs = f"[{pairs}\n      ]" if pairs else "[]"
+        yield f'{"," if i else ""}\n    {{\n      "n": {n},\n      "pairs": {pairs}\n    }}'
+    yield "\n  ]\n}\n"
+
+
 def _cmd_goldbach(args):
-    summary = goldbach_sweep(args.start, args.stop, per_n=args.per_n, cap=_active_cap(args))
-    payload = {
+    summary, sieve = _sweep(args.start, args.stop, _active_cap(args))
+    head = json.dumps({
         "range": [summary.start, summary.stop],
         "checked": summary.checked,
         "counterexamples": list(summary.counterexamples),
         "all_odd_leaf_count": summary.all_odd_leaf_count,
-    }
-    if summary.reports is not None:
-        payload["per_n"] = [
-            {
-                "n": report.n,
-                "pairs": [
-                    {"p": pair.p, "q": pair.q, "class": pair.node_class.value, "depth": pair.depth}
-                    for pair in report.pairs
-                ],
-            }
-            for report in summary.reports
-        ]
-    return json.dumps(payload, indent=2) + "\n"
+    }, indent=2)
+    totals = _splits(range(args.start, args.stop + 1, 2), sieve)  # lazy: scans when written
+    return _per_n_lines(head, totals) if args.per_n else head + "\n"
 
 
 def _build_parser():
@@ -242,8 +242,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        text = args.handler(args)
-        _write_output(text, args.out)
+        _write_output(args.handler(args), args.out)
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ the entries whose split is a pair of primes are exactly the two-prime
 decompositions of the even total.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from math import isqrt
 
@@ -156,13 +156,16 @@ class GoldbachReport:
         return bool(self.pairs)
 
 
-def _report_from_sieve(n, sieve):
-    pairs = (
-        GoldbachPair(p=p, q=n - p, node_class=_node_class(p, n - p), depth=_depth(p, n - p))
-        for p in compress(range(n // 2 + 1), sieve)
-        if sieve[n - p]
-    )
-    return GoldbachReport(n=n, pairs=tuple(pairs))
+def _splits(totals, sieve):
+    """(n, [(p, node class, depth) per prime split p + (n - p), p <= n - p]) per total."""
+    for n in totals:
+        low = compress(range(n // 2 + 1), sieve)
+        yield n, [(p, _node_class(p, n - p), _depth(p, n - p)) for p in low if sieve[n - p]]
+
+
+def _report_from_sieve(totals, sieve):
+    for n, splits in _splits(totals, sieve):
+        yield GoldbachReport(n=n, pairs=tuple(GoldbachPair(p, n - p, c, d) for p, c, d in splits))
 
 
 def _check_even_total(n):
@@ -176,7 +179,7 @@ def goldbach_pairs(n: int, cap: int | None = None) -> GoldbachReport:
     and its depth in the tree for n."""
     _check_even_total(n)
     ensure_within(n, cap, DEFAULT_SWEEP_CAP, "even total")
-    return _report_from_sieve(n, prime_sieve(n))
+    return next(_report_from_sieve((n,), prime_sieve(n)))
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,8 @@ class SweepSummary:
 
     counterexamples lists totals with no prime split (expected empty);
     all_odd_leaf_count counts totals whose every prime split has both
-    parts odd.  reports carries full per-total detail only when asked,
-    since it enumerates every split.
+    parts odd.  reports holds per-total detail only when asked; the
+    CLI's `goldbach --per-n` streams it one total at a time instead.
     """
 
     start: int
@@ -197,9 +200,8 @@ class SweepSummary:
     reports: tuple | None
 
 
-def goldbach_sweep(
-    start: int, stop: int, per_n: bool = False, cap: int | None = None
-) -> SweepSummary:
+def _sweep(start, stop, cap):
+    """goldbach_sweep's summary without reports, and the sieve it ran on."""
     _check_even_total(start)
     _require_naturals(stop)
     if stop < start or stop % 2:
@@ -209,7 +211,6 @@ def goldbach_sweep(
     primes = list(compress(range(stop // 2 + 1), sieve))
     counterexamples = []
     all_odd_leaf = 0
-    reports = [] if per_n else None
     for n in range(start, stop + 1, 2):
         found = False
         for p in primes:
@@ -225,16 +226,16 @@ def goldbach_sweep(
             # pair of odd parts is always an odd leaf; so "every prime
             # split is an odd leaf" is exactly "n - 2 is not prime".
             all_odd_leaf += 1
-        if per_n:
-            reports.append(_report_from_sieve(n, sieve))
-    return SweepSummary(
-        start=start,
-        stop=stop,
-        checked=(stop - start) // 2 + 1,
-        counterexamples=tuple(counterexamples),
-        all_odd_leaf_count=all_odd_leaf,
-        reports=tuple(reports) if per_n else None,
-    )
+    checked = (stop - start) // 2 + 1
+    return SweepSummary(start, stop, checked, tuple(counterexamples), all_odd_leaf, None), sieve
+
+
+def goldbach_sweep(
+    start: int, stop: int, per_n: bool = False, cap: int | None = None
+) -> SweepSummary:
+    summary, sieve = _sweep(start, stop, cap)
+    reports = _report_from_sieve(range(start, stop + 1, 2), sieve)
+    return replace(summary, reports=tuple(reports)) if per_n else summary
 
 
 def _pgm_lines(side, peak, rows):

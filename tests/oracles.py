@@ -4,8 +4,8 @@ Everything here is written the slow, obvious way on purpose: carries
 placed bit position by bit position, predecessors found by scanning a
 whole anti-diagonal, depth by literally walking the chain (and, as a
 second view, by measuring carry chains), primality by trial division,
-tree documents by the standard json encoder.  None of it shares code
-with the package.
+tree and Goldbach documents by the standard json encoder.  None of it
+shares code with the package.
 """
 
 import json
@@ -73,6 +73,62 @@ def tree_json(n):
             "parent": [p, n - p] if a else None,
         })
     return json.dumps({"n": n, "node_count": n + 1, "nodes": nodes}, indent=2) + "\n"
+
+
+def _split_class(a, b):
+    """Node class of the split (a, b) among the splits of a + b."""
+    if a == 0:
+        return "Root"
+    if a % 2:
+        return "OddLeaf"
+    return "Internal" if brute_predecessors((a, b)) else "ContradictoryEvenLeaf"
+
+
+def goldbach_document(start, stop, counterexamples, all_odd_leaf_count, per_n=None):
+    """The goldbach document as json.dumps lays it out.
+
+    per_n, when given, lists (n, [(p, q, class, depth), ...]) per total.
+    """
+    payload = {
+        "range": [start, stop],
+        "checked": (stop - start) // 2 + 1,
+        "counterexamples": list(counterexamples),
+        "all_odd_leaf_count": all_odd_leaf_count,
+    }
+    if per_n is not None:
+        payload["per_n"] = [
+            {
+                "n": n,
+                "pairs": [
+                    {"p": p, "q": q, "class": kind, "depth": depth}
+                    for p, q, kind, depth in pairs
+                ],
+            }
+            for n, pairs in per_n
+        ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def goldbach_json(start, stop, per_n):
+    """The goldbach document for the even totals start..stop: prime
+    splits by trial division, classes by scanning the anti-diagonal,
+    depths by walking the chain."""
+    splits = {
+        n: [p for p in range(2, n // 2 + 1)
+            if trial_division_prime(p) and trial_division_prime(n - p)]
+        for n in range(start, stop + 1, 2)
+    }
+    detail = [
+        (n, [(p, n - p, _split_class(p, n - p), chain_depth((p, n - p))) for p in ps])
+        for n, ps in splits.items()
+    ]
+    return goldbach_document(
+        start,
+        stop,
+        [n for n, ps in splits.items() if not ps],
+        sum(1 for ps in splits.values() if ps and all(p % 2 for p in ps)),
+        detail if per_n else None,
+    )
 
 
 def tree_dot(n):

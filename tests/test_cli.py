@@ -22,13 +22,16 @@ from cvtxor import (
     export_dot,
     export_json,
     export_pgm,
+    goldbach_sweep,
     odd_odd_cvt_grid,
+    prime_sieve,
     tree_stats,
 )
-from cvtxor.cli import run
+from cvtxor.cli import _per_n_lines, run
 from cvtxor.matrices import _csv_lines, _rows
-from cvtxor.numtheory import _stream_pgm
+from cvtxor.numtheory import _splits, _stream_pgm
 from cvtxor.tree import _dot_lines, _json_lines
+from oracles import goldbach_document, goldbach_json
 
 
 def _capture(capsys, argv):
@@ -274,6 +277,64 @@ def test_goldbach_per_total_detail(capsys):
             ],
         }
     ]
+
+
+GOLDBACH_RANGES = [(4, 4), (10, 10), (4, 100), (6, 40), (1020, 1030)]  # 1024 lies inside the last
+
+
+@pytest.mark.parametrize("per_n", [False, True])
+@pytest.mark.parametrize("start, stop", GOLDBACH_RANGES)
+def test_goldbach_bytes_equal_the_json_dumps_oracle(capsys, start, stop, per_n):
+    argv = ["goldbach", "--from", str(start), "--to", str(stop)] + ["--per-n"] * per_n
+    assert _capture(capsys, argv) == (0, goldbach_json(start, stop, per_n), "")
+
+
+@pytest.mark.parametrize("start, stop", [(4, 100), (1020, 1030), (50000, 50060)])
+def test_goldbach_per_n_bytes_equal_the_library_sweep(capsys, start, stop):
+    summary = goldbach_sweep(start, stop, per_n=True)
+    detail = [
+        (r.n, [(x.p, x.q, x.node_class.value, x.depth) for x in r.pairs]) for r in summary.reports
+    ]
+    expected = goldbach_document(
+        summary.start, summary.stop, summary.counterexamples, summary.all_odd_leaf_count, detail
+    )
+    argv = ["goldbach", "--per-n", "--from", str(start), "--to", str(stop)]
+    assert _capture(capsys, argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "bounds, code",
+    [
+        (["--from", "4", "--to", "101"], 1),  # odd end
+        (["--from", "100", "--to", "4"], 1),  # end below the start
+        (["--from", "4", "--to", "100", "--limit", "50"], 2),  # end above the cap
+    ],
+)
+def test_goldbach_per_n_rejects_bad_input_before_writing(capsys, tmp_path, bounds, code):
+    argv = ["goldbach", "--per-n", *bounds]
+    got, out, err = _capture(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run([*argv, "--out", str(tmp_path / "doc.json")]) == code
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == []
+
+
+def test_goldbach_per_n_lines_are_rendered_as_they_are_written():
+    # About 1.8 * 10^9 prime splits have totals in 4..2^20; the head of the
+    # stream must scan only the totals it writes.
+    stop = 1 << 20
+    sieve = prime_sieve(stop)
+    tracemalloc.start()
+    try:
+        lines = _per_n_lines('{\n  "checked": 0\n}', _splits(range(4, stop + 1, 2), sieve))
+        head = list(islice(lines, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head[0] == '{\n  "checked": 0,\n  "per_n": ['
+    assert head[2].startswith(',\n    {\n      "n": 6,\n      "pairs": [\n')
+    assert peak < 1 << 20
 
 
 def test_usage_errors_exit_one(capsys):
