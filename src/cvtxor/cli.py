@@ -243,15 +243,9 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         _write_output(args.handler(args), args.out)
-    except LimitError as exc:
+    except (LimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, LimitError) else 3 if isinstance(exc, OSError) else 1
     return 0
 
 

@@ -132,7 +132,7 @@ def prime_sieve(limit: int) -> bytearray:
     sieve[0 : min(2, limit + 1)] = b"\x00" * min(2, limit + 1)
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))  # bytes would be copied
     return sieve
 
 
@@ -187,9 +187,9 @@ class SweepSummary:
     """Existence scan over a range of even totals.
 
     counterexamples lists totals with no prime split (expected empty);
-    all_odd_leaf_count counts totals whose every prime split has both
-    parts odd.  reports holds per-total detail only when asked; the
-    CLI's `goldbach --per-n` streams it one total at a time instead.
+    all_odd_leaf_count counts totals with a split and n - 2 not prime:
+    only (2, n - 2) has an even part, so all their splits are odd leaves.
+    reports holds per-total detail only when asked; the CLI streams it.
     """
 
     start: int
@@ -201,31 +201,37 @@ class SweepSummary:
 
 
 def _sweep(start, stop, cap):
-    """goldbach_sweep's summary without reports, and the sieve it ran on."""
+    """goldbach_sweep's summary without reports, and the sieve it ran on.
+
+    Bitset method: bit k of prime_bits is set iff k is prime, and each
+    prime p in turn clears prime_bits << p (every p + q, q prime) from
+    the totals still to do, until none is left or 2p passes the highest.
+    That is one big-int pass per prime up to the range's largest minimal
+    Goldbach prime: 133 to ~2^22, 145 to 2^24 (it stays small; Oliveira
+    e Silva et al., Math. Comp. 83, 2014).  A counterexample n would
+    cost passes up to n / 2; none exists below the default cap.
+    """
     _check_even_total(start)
     _require_naturals(stop)
     if stop < start or stop % 2:
         raise ValueError("range end must be even and >= the start")
     ensure_within(stop, cap, DEFAULT_SWEEP_CAP, "sweep bound")
     sieve = prime_sieve(stop)
-    primes = list(compress(range(stop // 2 + 1), sieve))
+    digits = sieve.translate(bytes.maketrans(b"\x00\x01", b"01"))
+    digits.reverse()  # in place: sieve[0] becomes the lowest bit
+    prime_bits = int(digits, 2)
+    del digits
+    evens = todo = ((1 << (stop - start + 2)) - 1) // 3 << start
+    for p in compress(range(stop // 2 + 1), sieve):
+        if todo.bit_length() <= 2 * p:  # also when todo is 0
+            break
+        todo ^= todo & prime_bits << p  # no ~: a negative operand costs extra copies
+    found = evens ^ todo
+    all_odd_leaf = found.bit_count() - (found & prime_bits << 2).bit_count()
     counterexamples = []
-    all_odd_leaf = 0
-    for n in range(start, stop + 1, 2):
-        found = False
-        for p in primes:
-            if p + p > n:
-                break
-            if sieve[n - p]:
-                found = True
-                break
-        if not found:
-            counterexamples.append(n)
-        elif not sieve[n - 2]:
-            # The only prime split with an even part is (2, n - 2), and a
-            # pair of odd parts is always an odd leaf; so "every prime
-            # split is an odd leaf" is exactly "n - 2 is not prime".
-            all_odd_leaf += 1
+    while todo:
+        counterexamples.append((todo & -todo).bit_length() - 1)
+        todo &= todo - 1
     checked = (stop - start) // 2 + 1
     return SweepSummary(start, stop, checked, tuple(counterexamples), all_odd_leaf, None), sieve
 

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, atomic output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvtxor import (
     DEFAULT_GRID_CAP,
@@ -287,6 +291,28 @@ GOLDBACH_RANGES = [(4, 4), (10, 10), (4, 100), (6, 40), (1020, 1030)]  # 1024 li
 def test_goldbach_bytes_equal_the_json_dumps_oracle(capsys, start, stop, per_n):
     argv = ["goldbach", "--from", str(start), "--to", str(stop)] + ["--per-n"] * per_n
     assert _capture(capsys, argv) == (0, goldbach_json(start, stop, per_n), "")
+
+
+@st.composite
+def _even_windows(draw, top=3000):
+    """start <= stop, both even in 4..top, at most 100 totals wide."""
+    start = 2 * draw(st.integers(2, top // 2))
+    return start, min(top, start + 2 * draw(st.integers(0, 99)))
+
+
+@settings(max_examples=40)
+@given(_even_windows())
+@example((4, 4))
+@example((6, 6))
+@example((2998, 3000))
+@example((3000, 3000))
+@example((4, 3000))
+def test_goldbach_window_bytes_equal_the_json_dumps_oracle(window):
+    start, stop = window
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["goldbach", "--from", str(start), "--to", str(stop)]) == 0
+    assert out.getvalue() == goldbach_json(start, stop, False)
 
 
 @pytest.mark.parametrize("start, stop", [(4, 100), (1020, 1030), (50000, 50060)])

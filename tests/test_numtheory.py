@@ -169,6 +169,52 @@ def test_pair_depth_and_class_match_the_oracles():
             assert (pair.node_class in leaves) == (not brute_predecessors(split)), split
 
 
+def _thinned(keep):
+    """A prime_sieve stand-in that clears every prime failing keep(k):
+    flags the real sieve never gives, so that counterexamples appear."""
+    return lambda limit: bytearray(f and keep(k) for k, f in enumerate(prime_sieve(limit)))
+
+
+def _brute_summary(flags, start, stop):
+    """(counterexamples, all_odd_leaf_count) by trying every split of every total."""
+    totals = range(start, stop + 1, 2)
+    split = {n: any(flags[p] and flags[n - p] for p in range(n // 2 + 1)) for n in totals}
+    odd_leaves = sum(1 for n in totals if split[n] and not flags[n - 2])
+    return tuple(n for n in totals if not split[n]), odd_leaves
+
+
+NO_3_5_7 = tuple(range(6, 21, 2))  # 22 = 11 + 11 is the first total after 4 with a split
+
+
+@pytest.mark.parametrize(
+    "keep, start, stop, expected",
+    [
+        (lambda k: k not in (3, 5, 7), 4, 400, NO_3_5_7),  # an adjacent run
+        (lambda k: k not in (3, 5, 7), 6, 30, NO_3_5_7),  # one at the start
+        (lambda k: k not in (3, 5, 7), 4, 20, NO_3_5_7),  # one at the end
+        (lambda k: k not in (3, 5, 7), 12, 20, NO_3_5_7[3:]),  # all; stops at 2 * 11 > 20
+        (lambda k: k not in (3, 5, 7), 4, 4, ()),
+        (lambda k: k not in (3, 5, 7), 22, 600, ()),
+        (lambda k: k == 2, 4, 4, ()),
+        (lambda k: k == 2, 6, 60, tuple(range(6, 61, 2))),  # all; runs out of primes
+        (lambda k: k == 2, 4, 1010, tuple(range(6, 1011, 2))),
+        (lambda k: k % 4 == 1, 4, 300, None),  # every total 0 mod 4, and some others
+    ],
+)
+def test_sweep_matches_a_brute_force_on_thinned_sieves(monkeypatch, keep, start, stop, expected):
+    fake = _thinned(keep)
+    counterexamples, odd_leaves = _brute_summary(fake(stop), start, stop)
+    if expected is None:
+        assert set(range(start, stop + 1, 4)) < set(counterexamples)
+    else:
+        assert counterexamples == expected
+    monkeypatch.setattr("cvtxor.numtheory.prime_sieve", fake)
+    summary = goldbach_sweep(start, stop)
+    assert summary.checked == (stop - start) // 2 + 1
+    assert summary.counterexamples == counterexamples
+    assert summary.all_odd_leaf_count == odd_leaves
+
+
 def test_sweep_input_validation():
     with pytest.raises(ValueError):
         goldbach_sweep(3, 10)
