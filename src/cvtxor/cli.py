@@ -19,7 +19,7 @@ import sys
 import tempfile
 
 from .core import LimitError, add_recursive, ensure_within
-from .matrices import MatrixKind, _csv_lines, _rows
+from .matrices import MatrixKind, _stream_csv
 from .numtheory import DEFAULT_GRID_CAP, _splits, _stream_pgm, _sweep, prime_sieve
 from .tree import (
     DEFAULT_TREE_CAP,
@@ -122,8 +122,7 @@ def _cmd_stats(args):
 
 
 def _cmd_matrix(args):
-    kind = MatrixKind(args.kind)
-    return _csv_lines(kind, args.n_max, _rows(kind, args.n_max, _active_cap(args)))
+    return _stream_csv(MatrixKind(args.kind), args.n_max, _active_cap(args))
 
 
 def _cmd_fractal(args):

@@ -14,7 +14,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import _require_naturals, ensure_within
-from .tree import _depth, _pred_count
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -46,11 +45,24 @@ class AnalysisMatrix:
     cells: tuple
 
 
-_CELL = {
-    MatrixKind.DEPTH: _depth,
-    MatrixKind.PARENT: lambda i, j: ((i & j) << 1, i ^ j),
-    MatrixKind.FREQUENCY: lambda i, j: _pred_count(i, j) - (i == 0),  # no root self-loop
-}
+def _depth_rows(n_max, rows):
+    """Depth rows i in `rows` over columns 0..n_max, as bytes.  Column j is a
+    lane of `width` bytes in one int, and each round adds 1 to every lane whose
+    carry word is not 0 yet (Warren, Hacker's Delight, ch. 6).  A lane holds at
+    most i + j <= 2 n_max, below its top bit, as a carry word never exceeds its
+    sum; so no lane spills into the next, and every depth is below 256."""
+    size = n_max + 1
+    width = ((2 * size).bit_length() + 8) // 8
+    top = 8 * width - 1
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * size, "little")
+    low, high = ones * ((1 << top) - 1), ones << top
+    cols = int.from_bytes(b"".join(j.to_bytes(width, "little") for j in range(size)), "little")
+    for i in rows:
+        x, y, count = i * ones, cols, 0
+        while x:
+            count += ((x + low) & high) >> top  # no `| x`: the top bits are clear
+            x, y = (x & y) << 1, x ^ y
+        yield count.to_bytes(size * width, "little")[::width]
 
 
 def _rows(kind, n_max, cap):
@@ -59,13 +71,22 @@ def _rows(kind, n_max, cap):
     ensure_within(n_max, cap, DEFAULT_MATRIX_CAP, "matrix bound")
     if not isinstance(kind, MatrixKind):
         raise ValueError(f"unknown matrix kind: {kind!r}")
-    cell = _CELL[kind]
-    size = n_max + 1
-    return (tuple(cell(i, j) for j in range(size)) for i in range(size))
+    cols = range(n_max + 1)
+    if kind is MatrixKind.DEPTH:
+        return _depth_rows(n_max, cols)
+    if kind is MatrixKind.PARENT:
+        return (tuple(((i & j) << 1, i ^ j) for j in cols) for i in cols)
+    counts = tuple(1 << j.bit_count() for j in cols)  # children where (i >> 1) & j is 0
+    return (
+        tuple(c - 1 for c in counts) if i == 0  # the root's self step is no child edge
+        else (0,) * len(cols) if i & 1
+        else tuple(0 if i >> 1 & j else c for j, c in zip(cols, counts))
+        for i in cols
+    )
 
 
 def build_matrix(kind: MatrixKind, n_max: int, cap: int | None = None) -> AnalysisMatrix:
-    return AnalysisMatrix(n_max=n_max, kind=kind, cells=tuple(_rows(kind, n_max, cap)))
+    return AnalysisMatrix(n_max=n_max, kind=kind, cells=tuple(map(tuple, _rows(kind, n_max, cap))))
 
 
 def _check_diagonal(matrix, n):
@@ -117,14 +138,21 @@ def parent_occurrences(matrix: AnalysisMatrix, target, n: int) -> int:
     return sum(1 for k in range(n + 1) if matrix.cells[n - k][k] == want)
 
 
-def _csv_lines(kind, n_max, rows):
-    yield "i\\j," + ",".join(map(str, range(n_max + 1))) + "\n"
+def _csv_lines(kind, n_max, rows, text=str):
+    yield "i\\j," + ",".join(map(text, range(n_max + 1))) + "\n"
     for i, row in enumerate(rows):
         if kind is MatrixKind.PARENT:
-            rendered = (f"({p};{q})" for p, q in row)
+            rendered = [f"({text(p)};{text(q)})" for p, q in row]
         else:
-            rendered = map(str, row)
+            rendered = map(text, row)
         yield f"{i}," + ",".join(rendered) + "\n"
+
+
+def _stream_csv(kind, n_max, cap):
+    """export_csv(build_matrix(...)) line by line, in memory linear in n_max; a cell
+    is at most 2 n_max, so a list of decimals renders it (export_csv keeps str)."""
+    rows = _rows(kind, n_max, cap)
+    return _csv_lines(kind, n_max, rows, list(map(str, range(2 * n_max + 2))).__getitem__)
 
 
 def export_csv(matrix: AnalysisMatrix) -> str:

@@ -35,6 +35,7 @@ __all__ = [
 DEFAULT_GRID_CAP = 4095  # dense (limit+1)/2 square; memory is quadratic
 DEFAULT_SWEEP_CAP = 1 << 24
 DEFAULT_EXPONENT_CAP = 24
+_SLICE = 1 << 20  # sieve flags per "0"/"1" digit slice in _sweep's conversion
 
 # Strong-probable-prime witness set, exact for everything below this bound.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -217,10 +218,10 @@ def _sweep(start, stop, cap):
         raise ValueError("range end must be even and >= the start")
     ensure_within(stop, cap, DEFAULT_SWEEP_CAP, "sweep bound")
     sieve = prime_sieve(stop)
-    digits = sieve.translate(bytes.maketrans(b"\x00\x01", b"01"))
-    digits.reverse()  # in place: sieve[0] becomes the lowest bit
-    prime_bits = int(digits, 2)
-    del digits
+    prime_bits = 0
+    for lo in reversed(range(0, stop + 1, _SLICE)):  # high to low, so no whole digit string
+        digits = sieve[lo : lo + _SLICE].translate(bytes.maketrans(b"\x00\x01", b"01"))[::-1]
+        prime_bits = prime_bits << len(digits) | int(digits, 2)
     evens = todo = ((1 << (stop - start + 2)) - 1) // 3 << start
     for p in compress(range(stop // 2 + 1), sieve):
         if todo.bit_length() <= 2 * p:  # also when todo is 0
@@ -244,13 +245,13 @@ def goldbach_sweep(
     return replace(summary, reports=tuple(reports)) if per_n else summary
 
 
-def _pgm_lines(side, peak, rows):
+def _pgm_lines(side, peak, rows, text=str):
     stated = min(peak, 65535)
     yield f"P2\n{side} {side}\n{stated}\n"
     for row in rows:
         if peak > stated:
             row = (v * stated // peak for v in row)
-        yield " ".join(map(str, row)) + "\n"
+        yield " ".join(map(text, row)) + "\n"
 
 
 def export_pgm(grid: FractalGrid) -> str:
@@ -269,6 +270,7 @@ def export_pgm(grid: FractalGrid) -> str:
 def _stream_pgm(limit: int, cap: int | None = None):
     """export_pgm(odd_odd_cvt_grid(limit, cap)) line by line, in memory
     linear in the side; the peak is cvt(limit, limit) = 2 limit, as
-    cvt(x, y) = 2 (x & y) <= 2 min(x, y)."""
+    cvt(x, y) = 2 (x & y) <= 2 min(x, y): a list of decimals renders it."""
     odds = _grid_odds(limit, cap)
-    return _pgm_lines(len(odds), 2 * limit, (((x & y) << 1 for x in odds) for y in odds))
+    rows = (((x & y) << 1 for x in odds) for y in odds)
+    return _pgm_lines(len(odds), 2 * limit, rows, list(map(str, range(2 * limit + 1))).__getitem__)

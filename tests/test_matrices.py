@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cvtxor import (
+    AnalysisMatrix,
     LimitError,
     MatrixKind,
     anti_diagonal,
@@ -17,6 +18,7 @@ from cvtxor import (
     predecessor_count,
     xor,
 )
+from cvtxor.matrices import _depth_rows, _rows
 from oracles import brute_predecessors, carry_chain_depth, chain_depth
 
 
@@ -31,6 +33,17 @@ def test_depth_diagonals_match_the_carry_chain_oracle():
     matrix = build_matrix(MatrixKind.DEPTH, 64)
     for n in range(65):
         assert anti_diagonal(matrix, n) == [carry_chain_depth(n - k, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n_max", [62, 63, 16382, 16383])
+def test_depth_rows_match_the_oracle_where_the_lane_width_grows(n_max):
+    # Lanes are 1 byte up to 62, 2 bytes from 63 and 3 bytes from 16383;
+    # the last row holds the largest sums i + j.
+    rows = range(n_max + 1) if n_max < 64 else (1, n_max)
+    for i, row in zip(rows, _depth_rows(n_max, rows)):
+        assert list(row) == [chain_depth((i, j)) for j in range(n_max + 1)], i
+    first = next(_rows(MatrixKind.DEPTH, n_max, cap=n_max))
+    assert list(first) == [0] * (n_max + 1)
 
 
 def test_parent_cells_are_the_step_images():
@@ -134,3 +147,13 @@ def test_cap_and_input_validation():
         build_matrix(MatrixKind.DEPTH, 20, cap=10)
     with pytest.raises(ValueError):
         build_matrix(MatrixKind.DEPTH, -1)
+
+
+def test_csv_export_renders_caller_built_cells_as_str():
+    # Cells outside 0..2 n_max cannot come from build_matrix; they still render as str(v).
+    depth = AnalysisMatrix(n_max=1, kind=MatrixKind.DEPTH, cells=((0, -5), (99, 1)))
+    assert export_csv(depth) == "i\\j,0,1\n0,0,-5\n1,99,1\n"
+    parent = AnalysisMatrix(
+        n_max=1, kind=MatrixKind.PARENT, cells=(((0, 0), (-3, 99)), ((0, 1), (2, 0)))
+    )
+    assert export_csv(parent) == "i\\j,0,1\n0,(0;0),(-3;99)\n1,(0;1),(2;0)\n"

@@ -215,6 +215,17 @@ def test_sweep_matches_a_brute_force_on_thinned_sieves(monkeypatch, keep, start,
     assert summary.all_odd_leaf_count == odd_leaves
 
 
+@pytest.mark.parametrize("width", [1, 2, 7, 64, 301, 302])
+def test_sweep_converts_the_sieve_in_any_slice_width(monkeypatch, width):
+    # 4..300 sieves 301 flags: one slice at 301 and more, a short top slice below.
+    fake = _thinned(lambda k: k % 4 == 1)
+    counterexamples, odd_leaves = _brute_summary(fake(300), 4, 300)
+    monkeypatch.setattr("cvtxor.numtheory.prime_sieve", fake)
+    monkeypatch.setattr("cvtxor.numtheory._SLICE", width)
+    summary = goldbach_sweep(4, 300)
+    assert (summary.counterexamples, summary.all_odd_leaf_count) == (counterexamples, odd_leaves)
+
+
 def test_sweep_input_validation():
     with pytest.raises(ValueError):
         goldbach_sweep(3, 10)
@@ -248,3 +259,9 @@ def test_pgm_rescales_only_past_the_format_ceiling():
     lines = text.splitlines()
     assert lines[2] == "65535"
     assert lines[4].split() == ["1", "65535"]
+
+
+def test_pgm_renders_caller_built_cells_as_str():
+    # A negative cell cannot come from odd_odd_cvt_grid; it still renders as str(v).
+    grid = FractalGrid(limit=3, cells={1: {1: 2, 3: -5}, 3: {1: -5, 3: 6}})
+    assert export_pgm(grid) == "P2\n2 2\n6\n2 -5\n-5 6\n"
