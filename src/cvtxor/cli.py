@@ -151,7 +151,7 @@ def _per_n_lines(head, totals):
     for i, (n, splits) in enumerate(totals):
         pairs = ",".join(
             f'\n        {{\n          "p": {p},\n          "q": {n - p},\n'
-            f'          "class": "{c.value}",\n          "depth": {d}\n        }}'
+            f'          "class": "{c}",\n          "depth": {d}\n        }}'
             for p, c, d in splits
         )
         pairs = f"[{pairs}\n      ]" if pairs else "[]"

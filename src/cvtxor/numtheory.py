@@ -12,7 +12,7 @@ from itertools import compress
 from math import isqrt
 
 from .core import _require_naturals, ensure_within
-from .tree import NodeClass, _depth, _node_class
+from .tree import NodeClass, _class_name, _depth
 
 __all__ = [
     "DEFAULT_GRID_CAP",
@@ -158,15 +158,16 @@ class GoldbachReport:
 
 
 def _splits(totals, sieve):
-    """(n, [(p, node class, depth) per prime split p + (n - p), p <= n - p]) per total."""
+    """(n, [(p, class name, depth) per prime split p + (n - p), p <= n - p]) per total."""
     for n in totals:
         low = compress(range(n // 2 + 1), sieve)
-        yield n, [(p, _node_class(p, n - p), _depth(p, n - p)) for p in low if sieve[n - p]]
+        yield n, [(p, _class_name(p, n - p), _depth(p, n - p)) for p in low if sieve[n - p]]
 
 
 def _report_from_sieve(totals, sieve):
     for n, splits in _splits(totals, sieve):
-        yield GoldbachReport(n=n, pairs=tuple(GoldbachPair(p, n - p, c, d) for p, c, d in splits))
+        pairs = tuple(GoldbachPair(p, n - p, NodeClass(c), d) for p, c, d in splits)
+        yield GoldbachReport(n=n, pairs=pairs)
 
 
 def _check_even_total(n):

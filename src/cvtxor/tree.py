@@ -104,17 +104,18 @@ def classify_node(pair) -> NodeClass:
     enumeration: a contradiction position is a set carry bit directly
     above a set xor bit.
     """
-    return _node_class(*_checked_pair(pair))
+    return NodeClass(_class_name(*_checked_pair(pair)))
 
 
-def _node_class(x, y):
+def _class_name(x, y):
+    """The NodeClass value of (x, y): the one copy of the class rule."""
     if x == 0:
-        return NodeClass.ROOT
+        return "Root"
     if x & 1:
-        return NodeClass.ODD_LEAF
+        return "OddLeaf"
     if (x >> 1) & y:
-        return NodeClass.CONTRADICTORY_EVEN_LEAF
-    return NodeClass.INTERNAL
+        return "ContradictoryEvenLeaf"
+    return "Internal"
 
 
 def depth_of(pair) -> int:
@@ -232,16 +233,24 @@ def tree_stats(tree: CvtXorTree) -> TreeStats:
     )
 
 
+_CHUNK = 1024  # nodes per rendered piece: few writes, and each piece stays small
+
+
 def _dot_lines(tree):
-    """export_dot's document, one line at a time."""
-    n = tree.n
+    """export_dot's document, a chunk of nodes at a time."""
+    n, parent = tree.n, tree.parent
+    ends = {p: f'"({p},{n - p})";\n' for p in set(parent) - {None}}  # root and internal nodes
     yield f"digraph cvtxor_{n} {{\n"
     yield f'  "(0,{n})" [shape=doublecircle];\n'
-    yield from (f'  "({a},{n - a})";\n' for a in range(1, n + 1))
+    for lo in range(1, n + 1, _CHUNK):
+        yield "".join([f'  "({a},{n - a})";\n' for a in range(lo, min(lo + _CHUNK, n + 1))])
     yield f'  "(0,{n})" -> "(0,{n})" [label="self"];\n'
-    for a, p in enumerate(tree.parent):
-        if p is not None:
-            yield f'  "({a},{n - a})" -> "({p},{n - p})";\n'
+    for lo in range(1, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        parts = [None, None] * (hi - lo)
+        parts[0::2] = [f'  "({a},{n - a})" -> ' for a in range(lo, hi)]
+        parts[1::2] = map(ends.__getitem__, parent[lo:hi])
+        yield "".join(parts)
     yield "}\n"
 
 
@@ -252,16 +261,24 @@ def export_dot(tree: CvtXorTree) -> str:
 
 
 def _json_lines(tree):
-    """export_json's document node by node, in json.dumps(indent=2)'s layout."""
+    """export_json's document a chunk of nodes at a time, in json.dumps(indent=2)'s layout."""
     n, parent, depth = tree.n, tree.parent, tree.depth
+    decimals = list(map(str, range(max(depth) + 1)))
+    links = {p: f"[\n        {p},\n        {n - p}\n      ]" for p in set(parent) - {None}}
+    links[None] = "null"
+    node = [',\n    {\n      "x": ', None, None, ',\n      "class": "', None,
+            '",\n      "parent": ', None, "\n    }"]  # None slots are filled per chunk
     yield f'{{\n  "n": {n},\n  "node_count": {n + 1},\n  "nodes": ['
-    for a, p in enumerate(parent):
-        link = "null" if p is None else f"[\n        {p},\n        {n - p}\n      ]"
-        yield (
-            f'{"," if a else ""}\n    {{\n      "x": {a},\n      "y": {n - a},\n'
-            f'      "depth": {depth[a]},\n      "class": "{_node_class(a, n - a).value}",\n'
-            f'      "parent": {link}\n    }}'
-        )
+    for lo in range(0, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        parts = node * (hi - lo)
+        parts[1::8] = [f'{a},\n      "y": {n - a},\n      "depth": ' for a in range(lo, hi)]
+        parts[2::8] = map(decimals.__getitem__, depth[lo:hi])
+        parts[4::8] = map(_class_name, range(lo, hi), range(n - lo, n - hi, -1))
+        parts[6::8] = map(links.__getitem__, parent[lo:hi])
+        if lo == 0:
+            parts[0] = parts[0][1:]  # node 0 takes no separator
+        yield "".join(parts)
     yield "\n  ]\n}\n"
 
 

@@ -34,7 +34,7 @@ from cvtxor import (
 from cvtxor.cli import _per_n_lines, run
 from cvtxor.matrices import _csv_lines, _rows
 from cvtxor.numtheory import _splits, _stream_pgm
-from cvtxor.tree import _dot_lines, _json_lines
+from cvtxor.tree import _CHUNK, _dot_lines, _json_lines
 from oracles import goldbach_document, goldbach_json
 
 
@@ -165,6 +165,12 @@ def test_tree_json_golden(capsys):
             ["triangle", "4094", "--binary"],
             "cba970292b3d7f79bcc7f26fdc43cbe9f852f1eabb8b8cbba6958c807da11fd1",
         ),
+        # 128 DOT chunks, the last one short, and 129 JSON chunks, the last one a single node
+        (["tree", "131071"], "052f5f751ab30a3f2229d3620a737a9736dccf5b34e4131c5fe8151e627fca76"),
+        (
+            ["tree", "131072", "--format", "json"],
+            "11ff76e01493e6a1749fafa5f4b407137d66a5d6393cc10845649d1adde4c0d7",
+        ),
     ],
 )
 def test_tree_outputs_match_their_sha256_goldens(capsys, argv, digest):
@@ -242,6 +248,15 @@ def test_tree_lines_are_rendered_as_they_are_written():
     assert head[1] == '  "(0,131072)" [shape=doublecircle];\n'
     assert head[3] == '{\n  "n": 131072,\n  "node_count": 131073,\n  "nodes": ['
     assert peak < 1 << 20
+
+
+def test_tree_lines_come_a_chunk_of_nodes_at_a_time():
+    # Each piece is one write: unbuffered stdout (python -u) makes it one system call.
+    n = 1 << 17
+    tree = build_bottom_up(n)
+    bound = 2 * -(-n // _CHUNK) + 5
+    assert sum(1 for _ in _dot_lines(tree)) <= bound
+    assert sum(1 for _ in _json_lines(tree)) <= bound
 
 
 def test_triangle_marks_prime_splits(capsys):

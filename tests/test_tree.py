@@ -38,7 +38,7 @@ from cvtxor import (
     tree_stats,
     xor,
 )
-from cvtxor.tree import _dot_lines, _json_lines
+from cvtxor.tree import _CHUNK, _dot_lines, _json_lines
 from oracles import brute_predecessors, carry_chain_depth, chain_depth, tree_dot, tree_json
 
 small_pairs = st.tuples(
@@ -295,7 +295,8 @@ def test_dot_export_names_every_node_once():
 
 @pytest.mark.parametrize("build", [build_top_down, build_bottom_up])
 def test_exports_equal_the_oracle_documents(build):
-    for n in [*range(81), 255, 256, 1000, 4097]:
+    chunk_edges = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+    for n in [*range(81), 255, 256, 1000, 4097, *chunk_edges]:
         tree = build(n)
         assert export_json(tree) == tree_json(n), n
         assert export_dot(tree) == tree_dot(n), n
