@@ -12,24 +12,24 @@ Exit codes: 0 success, 1 usage or value error, 2 size-cap violation,
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
 import tempfile
 
 from .core import LimitError, add_recursive, ensure_within
-from .matrices import MatrixKind, _stream_csv
-from .numtheory import DEFAULT_GRID_CAP, _splits, _stream_pgm, _sweep, prime_sieve
 from .tree import (
     DEFAULT_TREE_CAP,
+    _chunks,
     _dot_lines,
+    _dp_stats,
     _json_lines,
-    build_bottom_up,
     classify_node,
     predecessors_of,
-    tree_stats,
 )
+
+# matrix, fractal, triangle and goldbach import their modules (and json) when
+# they run, so that `tree` and `stats` start without loading them.
 
 __all__ = ["run", "main"]
 
@@ -104,12 +104,15 @@ def _cmd_preds(args):
 
 
 def _cmd_tree(args):
-    tree = build_bottom_up(args.n, cap=_active_cap(args))
-    return _json_lines(tree) if args.format == "json" else _dot_lines(tree)
+    ensure_within(args.n, _active_cap(args), DEFAULT_TREE_CAP, "tree sum")
+    if args.format == "json":
+        return _json_lines(args.n, _chunks(args.n))
+    return _dot_lines(args.n, _chunks(args.n, depths=False))
 
 
 def _cmd_stats(args):
-    st = tree_stats(build_bottom_up(args.n, cap=_active_cap(args)))
+    ensure_within(args.n, _active_cap(args), DEFAULT_TREE_CAP, "tree sum")
+    st = _dp_stats(args.n)
     avg = st.average_depth
     per_depth = " ".join(f"{d}:{count}" for d, count in st.nodes_per_depth.items())
     return (
@@ -122,14 +125,20 @@ def _cmd_stats(args):
 
 
 def _cmd_matrix(args):
+    from .matrices import MatrixKind, _stream_csv
+
     return _stream_csv(MatrixKind(args.kind), args.n_max, _active_cap(args))
 
 
 def _cmd_fractal(args):
+    from .numtheory import _stream_pgm
+
     return _stream_pgm(args.grid_limit, cap=_active_cap(args))
 
 
 def _cmd_triangle(args):
+    from .numtheory import DEFAULT_GRID_CAP, prime_sieve
+
     if args.n < 2 or args.n % 2:
         raise ValueError("triangle bound must be even and >= 2")
     ensure_within(args.n, _active_cap(args), DEFAULT_GRID_CAP, "triangle bound")
@@ -160,6 +169,10 @@ def _per_n_lines(head, totals):
 
 
 def _cmd_goldbach(args):
+    import json
+
+    from .numtheory import _splits, _sweep
+
     summary, sieve = _sweep(args.start, args.stop, _active_cap(args))
     head = json.dumps({
         "range": [summary.start, summary.stop],

@@ -78,6 +78,22 @@ class AdditionTrace:
         return len(self.steps) - 1
 
 
+def _lane_depths(x, y, ones, width):
+    """Depths of many pairs at once: lane k is the k-th `width`-byte field of
+    x and y, `ones` has a 1 in each lane, and lane k of the result counts the
+    hops of the pair in lane k.  Each round adds 1 to every lane whose carry
+    word is not 0 yet (Warren, Hacker's Delight, ch. 6).  Every lane value
+    must stay below the lane's top bit; a carry word never exceeds its sum, so
+    bounding the sums does it, and then no lane spills into the next."""
+    top = 8 * width - 1
+    low, high = ones * ((1 << top) - 1), ones << top
+    count = 0
+    while x:
+        count += ((x + low) & high) >> top  # no `| x`: the top bits are clear
+        x, y = (x & y) << 1, x ^ y
+    return count
+
+
 def add_recursive(x: int, y: int) -> AdditionTrace:
     """Add by splitting into carry and xor words until the carry dies.
 

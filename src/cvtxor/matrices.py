@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import _require_naturals, ensure_within
+from .core import _lane_depths, _require_naturals, ensure_within
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -46,23 +46,15 @@ class AnalysisMatrix:
 
 
 def _depth_rows(n_max, rows):
-    """Depth rows i in `rows` over columns 0..n_max, as bytes.  Column j is a
-    lane of `width` bytes in one int, and each round adds 1 to every lane whose
-    carry word is not 0 yet (Warren, Hacker's Delight, ch. 6).  A lane holds at
-    most i + j <= 2 n_max, below its top bit, as a carry word never exceeds its
-    sum; so no lane spills into the next, and every depth is below 256."""
+    """Depth rows i in `rows` over columns 0..n_max, as bytes: column j is a
+    lane of one _lane_depths walk.  Lanes are wide enough for the largest sum
+    i + j <= 2 n_max, and every depth is below 256."""
     size = n_max + 1
     width = ((2 * size).bit_length() + 8) // 8
-    top = 8 * width - 1
     ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * size, "little")
-    low, high = ones * ((1 << top) - 1), ones << top
     cols = int.from_bytes(b"".join(j.to_bytes(width, "little") for j in range(size)), "little")
     for i in rows:
-        x, y, count = i * ones, cols, 0
-        while x:
-            count += ((x + low) & high) >> top  # no `| x`: the top bits are clear
-            x, y = (x & y) << 1, x ^ y
-        yield count.to_bytes(size * width, "little")[::width]
+        yield _lane_depths(i * ones, cols, ones, width).to_bytes(size * width, "little")[::width]
 
 
 def _rows(kind, n_max, cap):

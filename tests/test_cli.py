@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvtxor.tree
 from cvtxor import (
     DEFAULT_GRID_CAP,
     DEFAULT_MATRIX_CAP,
+    DEFAULT_TREE_CAP,
     MatrixKind,
     build_bottom_up,
     build_matrix,
@@ -34,7 +36,7 @@ from cvtxor import (
 from cvtxor.cli import _per_n_lines, run
 from cvtxor.matrices import _csv_lines, _rows
 from cvtxor.numtheory import _splits, _stream_pgm
-from cvtxor.tree import _CHUNK, _dot_lines, _json_lines
+from cvtxor.tree import _CHUNK, _chunks, _dot_lines, _json_lines, _slices
 from oracles import goldbach_document, goldbach_json
 
 
@@ -197,6 +199,31 @@ def test_tree_and_stats_output_equals_the_top_down_library_build(capsys, n):
     assert per_depth == st.nodes_per_depth
 
 
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2048, 32767, 32768])
+def test_tree_output_at_chunk_edges_equals_the_top_down_export(capsys, n):
+    # 1023 ends on a full chunk, 1024 on a one-node chunk; the lanes of a
+    # chunk's depth walk grow from 2 to 3 bytes at 32768.
+    tree = build_top_down(n)
+    assert _capture(capsys, ["tree", str(n)]) == (0, export_dot(tree), "")
+    assert _capture(capsys, ["tree", str(n), "--format", "json"]) == (0, export_json(tree), "")
+
+
+def test_tree_and_stats_build_no_tree(capsys, monkeypatch):
+    argvs = [["tree", "300"], ["tree", "300", "--format", "json"], ["stats", "300"]]
+    expected = [_capture(capsys, argv) for argv in argvs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    # Both builders construct a CvtXorTree from the module's globals, so
+    # patching it too catches a build through any other name.
+    for name in ("build_top_down", "build_bottom_up", "CvtXorTree"):
+        monkeypatch.setattr(cvtxor.tree, name, forbidden)
+    assert [_capture(capsys, argv) for argv in argvs] == expected
+    with pytest.raises(AssertionError):
+        build_bottom_up(3)  # this module's own name for it, bound before the patch
+
+
 def test_matrix_csv_header_and_shape(capsys):
     code, out, _ = _capture(capsys, ["matrix", "--kind", "freq", "--max", "8"])
     assert code == 0
@@ -241,7 +268,8 @@ def test_tree_lines_are_rendered_as_they_are_written():
     tree = build_bottom_up(1 << 17)
     tracemalloc.start()
     try:
-        head = list(islice(_dot_lines(tree), 3)) + list(islice(_json_lines(tree), 3))
+        head = list(islice(_dot_lines(tree.n, _slices(tree)), 3))
+        head += list(islice(_json_lines(tree.n, _slices(tree)), 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,13 +278,26 @@ def test_tree_lines_are_rendered_as_they_are_written():
     assert peak < 1 << 20
 
 
+def test_cli_tree_source_holds_one_chunk_at_a_time():
+    # The closed-form chunks at the default cap: no tree, so the first
+    # pieces cost what they do at any n.
+    n = DEFAULT_TREE_CAP
+    tracemalloc.start()
+    try:
+        head = list(islice(_json_lines(n, _chunks(n)), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head[1].startswith('\n    {\n      "x": 0,\n      "y": 1048576,\n      "depth": 0,')
+    assert peak < 1 << 20
+
+
 def test_tree_lines_come_a_chunk_of_nodes_at_a_time():
     # Each piece is one write: unbuffered stdout (python -u) makes it one system call.
     n = 1 << 17
-    tree = build_bottom_up(n)
     bound = 2 * -(-n // _CHUNK) + 5
-    assert sum(1 for _ in _dot_lines(tree)) <= bound
-    assert sum(1 for _ in _json_lines(tree)) <= bound
+    assert sum(1 for _ in _dot_lines(n, _chunks(n, depths=False))) <= bound
+    assert sum(1 for _ in _json_lines(n, _chunks(n))) <= bound
 
 
 def test_triangle_marks_prime_splits(capsys):
@@ -458,6 +499,23 @@ def test_module_entry_point_matches_in_process_output(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout == out
+
+
+def _imported(*args):
+    """Names of the modules that `python -X importtime ARGS` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    assert proc.returncode == 0
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_stats_loads_only_the_modules_it_needs():
+    loaded = _imported("-m", "cvtxor", "stats", "8") - _imported("-c", "pass")
+    assert {"cvtxor", "cvtxor.cli", "cvtxor.tree"} <= loaded
+    assert loaded.isdisjoint({"cvtxor.matrices", "cvtxor.numtheory", "json"})
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -1,6 +1,8 @@
 """The package root's public surface: complete, unique and documented."""
 
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import cvtxor
@@ -27,3 +29,14 @@ def test_every_public_function_is_in_the_readme_surface_list():
     (surface,) = [p for p in paragraphs if "package root" in p]
     functions = [n for n in cvtxor.__all__ if inspect.isfunction(getattr(cvtxor, n))]
     assert [n for n in functions if f"`{n}`" not in surface] == []
+
+
+def test_star_import_binds_every_name_in_all():
+    # A fresh interpreter, so that the star import is the first lookup.
+    code = (
+        "from cvtxor import *\n"
+        "import cvtxor\n"
+        "print([n for n in cvtxor.__all__ if globals().get(n) is not getattr(cvtxor, n)])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from cvtxor import (
     tree_stats,
     xor,
 )
-from cvtxor.tree import _CHUNK, _dot_lines, _json_lines
+from cvtxor.tree import _CHUNK, _class_depth_counts, _dot_lines, _dp_stats, _json_lines, _slices
 from oracles import brute_predecessors, carry_chain_depth, chain_depth, tree_dot, tree_json
 
 small_pairs = st.tuples(
@@ -166,8 +167,8 @@ def test_a_tree_stores_parent_and_depth_only():
 def test_no_build_stats_or_export_derives_children():
     tree = build_bottom_up(40)
     tree_stats(tree)
-    list(_dot_lines(tree))
-    list(_json_lines(tree))
+    list(_dot_lines(tree.n, _slices(tree)))
+    list(_json_lines(tree.n, _slices(tree)))
     assert "children" not in vars(tree)
 
 
@@ -176,6 +177,24 @@ def test_leaf_count_matches_the_diagonal_scan():
         leaves = sum(not brute_predecessors((a, n - a)) for a in range(1, n + 1))
         assert tree_stats(build_top_down(n)).leaf_count == leaves, n
         assert tree_stats(build_bottom_up(n)).leaf_count == leaves, n
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 600), (600, 850), (850, 1025)])  # about equal work
+def test_stats_dp_equals_the_stats_of_the_built_tree(lo, hi):
+    for n in range(lo, hi):
+        assert _dp_stats(n) == tree_stats(build_top_down(n)), n
+
+
+def test_class_depth_counts_equal_the_built_tree():
+    for n in [*range(200), 1024]:
+        tree = build_top_down(n)
+        classes = (classify_node((a, n - a)).value for a in tree.nodes)
+        assert _class_depth_counts(n) == Counter(zip(classes, tree.depth)), n
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 65535, 65536])
+def test_stats_dp_at_all_ones_and_powers_of_two(n):
+    assert _dp_stats(n) == tree_stats(build_top_down(n))
 
 
 def test_children_are_sorted_and_parent_linked():
