@@ -45,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
 def _nat(text):
     if not re.fullmatch(r"\d+", text):
         raise argparse.ArgumentTypeError(f"expected a decimal natural number, got {text!r}")
+    if len(text) > 4300:  # add keeps every step: memory grows as digits squared
+        raise argparse.ArgumentTypeError(f"expected at most 4300 digits, got {len(text)}")
     return int(text)
 
 
@@ -262,4 +264,6 @@ def run(argv) -> int:
 
 
 def main() -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # a sum can outgrow the digits _nat reads
+        sys.set_int_max_str_digits(0)
     return run(sys.argv[1:])

@@ -78,20 +78,32 @@ class AdditionTrace:
         return len(self.steps) - 1
 
 
+def _lanes(values, bound):
+    """Lane width in bytes, `ones` (1 per lane) and `values`, each <= bound, one per lane."""
+    width = (bound.bit_length() + 8) // 8  # keeps every value below its lane's top bit
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * len(values), "little")
+    packed = b"".join(v.to_bytes(width, "little") for v in values)
+    return width, ones, int.from_bytes(packed, "little")
+
+
 def _lane_depths(x, y, ones, width):
-    """Depths of many pairs at once: lane k is the k-th `width`-byte field of
-    x and y, `ones` has a 1 in each lane, and lane k of the result counts the
-    hops of the pair in lane k.  Each round adds 1 to every lane whose carry
-    word is not 0 yet (Warren, Hacker's Delight, ch. 6).  Every lane value
-    must stay below the lane's top bit; a carry word never exceeds its sum, so
-    bounding the sums does it, and then no lane spills into the next."""
+    """Depths of many pairs at once, in lane order: lane k is the k-th
+    `width`-byte field of x and y, and `ones` holds 1 in each lane.  Each round
+    adds 1 to every lane whose carry word is not 0 yet (Warren, Hacker's
+    Delight, ch. 6).  Every lane value must stay below the lane's top bit; a
+    carry word never exceeds its sum, so bounding the sums does it, and then no
+    lane spills into the next.  So a depth is at most 8 * width: below 32-byte
+    lanes it is each lane's low byte (a bytes object), from there a whole lane."""
     top = 8 * width - 1
     low, high = ones * ((1 << top) - 1), ones << top
     count = 0
     while x:
         count += ((x + low) & high) >> top  # no `| x`: the top bits are clear
         x, y = (x & y) << 1, x ^ y
-    return count
+    lanes = count.to_bytes(-(-ones.bit_length() // (8 * width)) * width, "little")
+    if width < 32:
+        return lanes[::width]
+    return [int.from_bytes(lanes[k:k + width], "little") for k in range(0, len(lanes), width)]
 
 
 def add_recursive(x: int, y: int) -> AdditionTrace:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import _lane_depths, _require_naturals, ensure_within
+from .core import _lane_depths, _lanes, _require_naturals, ensure_within
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -46,15 +46,10 @@ class AnalysisMatrix:
 
 
 def _depth_rows(n_max, rows):
-    """Depth rows i in `rows` over columns 0..n_max, as bytes: column j is a
-    lane of one _lane_depths walk.  Lanes are wide enough for the largest sum
-    i + j <= 2 n_max, and every depth is below 256."""
-    size = n_max + 1
-    width = ((2 * size).bit_length() + 8) // 8
-    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * size, "little")
-    cols = int.from_bytes(b"".join(j.to_bytes(width, "little") for j in range(size)), "little")
+    """Depth rows i in `rows` over columns 0..n_max, column j a lane of one _lane_depths walk."""
+    width, ones, cols = _lanes(range(n_max + 1), 2 * n_max)  # every sum i + j
     for i in rows:
-        yield _lane_depths(i * ones, cols, ones, width).to_bytes(size * width, "little")[::width]
+        yield _lane_depths(i * ones, cols, ones, width)
 
 
 def _rows(kind, n_max, cap):

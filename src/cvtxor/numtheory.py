@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from math import isqrt
 
-from .core import _require_naturals, ensure_within
-from .tree import NodeClass, _class_name, _depth
+from .core import _lane_depths, _lanes, _require_naturals, ensure_within
+from .tree import NodeClass, _class_name
 
 __all__ = [
     "DEFAULT_GRID_CAP",
@@ -160,8 +160,10 @@ class GoldbachReport:
 def _splits(totals, sieve):
     """(n, [(p, class name, depth) per prime split p + (n - p), p <= n - p]) per total."""
     for n in totals:
-        low = compress(range(n // 2 + 1), sieve)
-        yield n, [(p, _class_name(p, n - p), _depth(p, n - p)) for p in low if sieve[n - p]]
+        low = [p for p in compress(range(n // 2 + 1), sieve) if sieve[n - p]]
+        width, ones, x = _lanes(low, n)
+        depths = _lane_depths(x, n * ones - x, ones, width)
+        yield n, [(p, _class_name(p, n - p), d) for p, d in zip(low, depths)]
 
 
 def _report_from_sieve(totals, sieve):

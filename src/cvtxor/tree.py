@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import and_, lshift
 
-from .core import _lane_depths, _require_naturals, ensure_within
+from .core import _lane_depths, _lanes, _require_naturals, ensure_within
 
 __all__ = [
     "DEFAULT_TREE_CAP",
@@ -72,16 +72,17 @@ def predecessors_of(pair) -> set:
     Note (0, n) is mathematically its own predecessor; tree builders
     drop that element, this raw inverse keeps it.
     """
-    return set(_preds(*_checked_pair(pair)))
+    x, y = _checked_pair(pair)
+    return {(a, x + y - a) for a in _preds(x, y)}
 
 
 def _preds(x, y):
+    """The first coordinates of the predecessors of (x, y); each one's second is x + y - a."""
     if x & 1 or (x >> 1) & y:
         return
-    base = x >> 1
-    t = y
+    base, t = x >> 1, y
     while True:
-        yield (base | t, base | (y ^ t))
+        yield base | t
         if t == 0:
             return
         t = (t - 1) & y
@@ -172,13 +173,12 @@ def build_top_down(n: int, cap: int | None = None) -> CvtXorTree:
     """Breadth-first expansion from (0, n) through predecessor sets."""
     _require_naturals(n)
     ensure_within(n, cap, DEFAULT_TREE_CAP, "tree sum")
-    parent = [None] * (n + 1)
-    depth = [0] * (n + 1)
+    parent, depth = [None] * (n + 1), [0] * (n + 1)
     queue = deque([0])
     while queue:
         a = queue.popleft()
         d = depth[a] + 1
-        for kid, _ in _preds(a, n - a):
+        for kid in _preds(a, n - a):
             if kid != a:  # only the root is its own predecessor
                 parent[kid] = a
                 depth[kid] = d
@@ -288,10 +288,8 @@ def _chunks(n, depths=True):
     """The tree for n as (parents, depths) per chunk of _CHUNK nodes, each
     from its closed form: node a steps to (a & (n - a)) << 1 (None at the
     root), and one _lane_depths walk over lanes x = lo + k, y = n - lo - k
-    gives the chunk's depths as bytes (None when depths is false)."""
-    width = (max(n, _CHUNK).bit_length() + 8) // 8  # room for n and for k <= _CHUNK
-    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * _CHUNK, "little")
-    idx = int.from_bytes(b"".join(k.to_bytes(width, "little") for k in range(_CHUNK)), "little")
+    gives the chunk's depths (None when depths is false)."""
+    width, ones, idx = _lanes(range(_CHUNK), max(n, _CHUNK))  # room for n and for k <= _CHUNK
     for lo in range(0, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
         parents = list(map(lshift, map(and_, range(lo, hi), range(n - lo, n - hi, -1)), repeat(1)))
@@ -299,11 +297,8 @@ def _chunks(n, depths=True):
             parents[0] = None
         hops = None
         if depths:
-            mask = (1 << 8 * width * (hi - lo)) - 1  # drops the lanes past n
-            count = _lane_depths(
-                (lo * ones + idx) & mask, ((n - lo) * ones - idx) & mask, ones & mask, width
-            )
-            hops = count.to_bytes((hi - lo) * width, "little")[::width]
+            m = (1 << 8 * width * (hi - lo)) - 1  # drops the lanes past n
+            hops = _lane_depths((lo * ones + idx) & m, ((n - lo) * ones - idx) & m, ones & m, width)
         yield parents, hops
 
 

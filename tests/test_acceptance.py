@@ -49,7 +49,9 @@ def test_c01_every_tree_has_one_node_per_splitting():
         # search reached every split, each at its own depth
         if len(tree.parent) != n + 1 or tree.parent[0] is not None or None in tree.parent[1:]:
             failures.append(("unreached", n))
-        if list(tree.depth) != [depth_of((a, n - a)) for a in range(n + 1)]:
+        # the search's levels against one lane walk of the anti-diagonal (the
+        # bottom-up builder); depth_of is checked against the oracles in test_tree
+        if tree.depth != build_bottom_up(n).depth:
             failures.append(("depth", n))
     _report(1, "trees up to 2048 have exactly total-plus-one nodes", failures)
 

@@ -65,6 +65,20 @@ def test_add_binary_rendering(capsys):
     assert out == "1000\n(11,101) (10,110) (100,100) (1000,0) (0,1000)\n"
 
 
+def test_add_prints_sums_past_the_default_int_string_bound():
+    # CPython converts at most 4300 digits between int and str unless told otherwise
+    nines = "9" * 4300
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvtxor", "add", nines, "1"], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1" + "0" * 4300 + "\n", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvtxor", "add", nines + "9", "1"], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("error: argument x: expected at most 4300 digits, got 4301\n")
+
+
 def test_classify_names_the_node_class(capsys):
     assert _capture(capsys, ["classify", "6", "2"])[1] == "ContradictoryEvenLeaf\n"
     assert _capture(capsys, ["classify", "0", "8"])[1] == "Root\n"

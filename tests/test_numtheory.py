@@ -17,6 +17,7 @@ from cvtxor import (
     power_of_two_check,
     prime_sieve,
 )
+from cvtxor.numtheory import _splits
 from oracles import brute_predecessors, carry_word, chain_depth, trial_division_prime
 
 
@@ -167,6 +168,23 @@ def test_pair_depth_and_class_match_the_oracles():
             split = (pair.p, pair.q)
             assert pair.depth == chain_depth(split), split
             assert (pair.node_class in leaves) == (not brute_predecessors(split)), split
+
+
+def test_split_depths_match_the_oracle_across_the_lane_width_step():
+    # a total below 2^15 walks its splits in 2-byte lanes, one from 2^15 on in 3-byte lanes
+    stop = 32790
+    sieve = prime_sieve(stop)
+    for n, splits in _splits(range(32764, stop + 1, 2), sieve):
+        primes = [p for p in range(2, n // 2 + 1) if sieve[p] and sieve[n - p]]
+        assert [p for p, _, _ in splits] == primes, n
+        assert [d for _, _, d in splits] == [chain_depth((p, n - p)) for p in primes], n
+
+
+def test_a_total_without_prime_splits_walks_no_lanes():
+    sieve = _thinned(lambda k: k == 3)(12)  # 3 is the only prime left
+    assert list(_splits((6, 10, 12), sieve)) == [
+        (6, [(3, "OddLeaf", chain_depth((3, 3)))]), (10, []), (12, [])
+    ]
 
 
 def _thinned(keep):

@@ -1,6 +1,7 @@
 """Convergence trees: predecessors, classification, both builders."""
 
 import dataclasses
+import itertools
 import re
 from collections import Counter
 from fractions import Fraction
@@ -39,7 +40,15 @@ from cvtxor import (
     tree_stats,
     xor,
 )
-from cvtxor.tree import _CHUNK, _class_depth_counts, _dot_lines, _dp_stats, _json_lines, _slices
+from cvtxor.tree import (
+    _CHUNK,
+    _chunks,
+    _class_depth_counts,
+    _dot_lines,
+    _dp_stats,
+    _json_lines,
+    _slices,
+)
 from oracles import brute_predecessors, carry_chain_depth, chain_depth, tree_dot, tree_json
 
 small_pairs = st.tuples(
@@ -319,6 +328,16 @@ def test_exports_equal_the_oracle_documents(build):
         tree = build(n)
         assert export_json(tree) == tree_json(n), n
         assert export_dot(tree) == tree_dot(n), n
+
+
+def test_json_depths_stay_exact_past_one_byte():
+    # At 2^300 the lanes are 38 bytes wide and node 1 sits at depth 301, so a
+    # read of each lane's low byte alone would print wrong depths.
+    n = 2**300
+    pieces = "".join(itertools.islice(_json_lines(n, _chunks(n)), 1, 3))  # nodes 0..2047
+    depths = [int(d) for d in re.findall(r'"depth": (\d+)', pieces)]
+    assert depths == [depth_of((a, n - a)) for a in range(2 * _CHUNK)]
+    assert max(depths) > 255
 
 
 def test_json_export_round_trips():
