@@ -17,7 +17,7 @@ import re
 import sys
 import tempfile
 
-from .core import LimitError, add_recursive, ensure_within
+from .core import LimitError, _Labels, add_recursive, ensure_within
 from .tree import (
     DEFAULT_TREE_CAP,
     _chunks,
@@ -62,9 +62,10 @@ def _active_cap(args):
     env = os.environ.get("CVTX_LIMIT")
     if env is None:
         return None
-    if not re.fullmatch(r"\d+", env):
-        raise ValueError(f"CVTX_LIMIT must be a decimal natural number, got {env!r}")
-    return int(env)
+    try:
+        return _nat(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CVTX_LIMIT: {exc}") from None
 
 
 def _write_output(text, path):
@@ -127,9 +128,10 @@ def _cmd_stats(args):
 
 
 def _cmd_matrix(args):
-    from .matrices import MatrixKind, _stream_csv
+    from .matrices import MatrixKind, _csv_lines, _rows
 
-    return _stream_csv(MatrixKind(args.kind), args.n_max, _active_cap(args))
+    kind = MatrixKind(args.kind)
+    return _csv_lines(kind, args.n_max, _rows(kind, args.n_max, _active_cap(args)))
 
 
 def _cmd_fractal(args):
@@ -139,17 +141,18 @@ def _cmd_fractal(args):
 
 
 def _cmd_triangle(args):
-    from .numtheory import DEFAULT_GRID_CAP, prime_sieve
+    from .numtheory import DEFAULT_GRID_CAP, palindrome_row, prime_sieve
 
     if args.n < 2 or args.n % 2:
         raise ValueError("triangle bound must be even and >= 2")
     ensure_within(args.n, _active_cap(args), DEFAULT_GRID_CAP, "triangle bound")
     sieve = prime_sieve(args.n)
+    text = _Labels(lambda v: _fmt(v, args.binary))
     return (
         f"{n}: "
         + " ".join(
-            _fmt((k & (n - k)) << 1, args.binary) + ("*" if sieve[k] and sieve[n - k] else "")
-            for k in range(1, n, 2)
+            text[c] + ("*" if sieve[k] and sieve[n - k] else "")
+            for k, c in zip(range(1, n, 2), palindrome_row(n))
         )
         + "\n"
         for n in range(2, args.n + 1, 2)

@@ -8,6 +8,7 @@ ints, so operands are arbitrary precision and nothing can overflow.
 
 The two argument rules every module applies live here too: the input
 rule (non-negative ints) and the size rule (the per-construction cap).
+So does the one text cache every streamed document renders numbers through.
 """
 
 from dataclasses import dataclass
@@ -104,6 +105,18 @@ def _lane_depths(x, y, ones, width):
     if width < 32:
         return lanes[::width]
     return [int.from_bytes(lanes[k:k + width], "little") for k in range(0, len(lanes), width)]
+
+
+class _Labels(dict):
+    """Text per key, rendered by `render` on the first lookup of each key."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
 def add_recursive(x: int, y: int) -> AdditionTrace:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import _lane_depths, _lanes, _require_naturals, ensure_within
+from .core import _Labels, _lane_depths, _lanes, _require_naturals, ensure_within
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -125,21 +125,16 @@ def parent_occurrences(matrix: AnalysisMatrix, target, n: int) -> int:
     return sum(1 for k in range(n + 1) if matrix.cells[n - k][k] == want)
 
 
-def _csv_lines(kind, n_max, rows, text=str):
-    yield "i\\j," + ",".join(map(text, range(n_max + 1))) + "\n"
+def _csv_lines(kind, n_max, rows):
+    """The CSV line by line; `cvtxor matrix` streams it over `_rows`, in memory linear in n_max."""
+    text = _Labels(str)
+    yield "i\\j," + ",".join(map(text.__getitem__, range(n_max + 1))) + "\n"
     for i, row in enumerate(rows):
         if kind is MatrixKind.PARENT:
-            rendered = [f"({text(p)};{text(q)})" for p, q in row]
+            rendered = [f"({text[p]};{text[q]})" for p, q in row]
         else:
-            rendered = map(text, row)
+            rendered = map(text.__getitem__, row)
         yield f"{i}," + ",".join(rendered) + "\n"
-
-
-def _stream_csv(kind, n_max, cap):
-    """export_csv(build_matrix(...)) line by line, in memory linear in n_max; a cell
-    is at most 2 n_max, so a list of decimals renders it (export_csv keeps str)."""
-    rows = _rows(kind, n_max, cap)
-    return _csv_lines(kind, n_max, rows, list(map(str, range(2 * n_max + 2))).__getitem__)
 
 
 def export_csv(matrix: AnalysisMatrix) -> str:

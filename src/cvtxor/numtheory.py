@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from math import isqrt
 
-from .core import _lane_depths, _lanes, _require_naturals, ensure_within
+from .core import _Labels, _lane_depths, _lanes, _require_naturals, ensure_within
 from .tree import NodeClass, _class_name
 
 __all__ = [
@@ -248,13 +248,14 @@ def goldbach_sweep(
     return replace(summary, reports=tuple(reports)) if per_n else summary
 
 
-def _pgm_lines(side, peak, rows, text=str):
+def _pgm_lines(side, peak, rows):
     stated = min(peak, 65535)
+    text = _Labels(str)
     yield f"P2\n{side} {side}\n{stated}\n"
     for row in rows:
         if peak > stated:
             row = (v * stated // peak for v in row)
-        yield " ".join(map(text, row)) + "\n"
+        yield " ".join(map(text.__getitem__, row)) + "\n"
 
 
 def export_pgm(grid: FractalGrid) -> str:
@@ -273,7 +274,7 @@ def export_pgm(grid: FractalGrid) -> str:
 def _stream_pgm(limit: int, cap: int | None = None):
     """export_pgm(odd_odd_cvt_grid(limit, cap)) line by line, in memory
     linear in the side; the peak is cvt(limit, limit) = 2 limit, as
-    cvt(x, y) = 2 (x & y) <= 2 min(x, y): a list of decimals renders it."""
+    cvt(x, y) = 2 (x & y) <= 2 min(x, y)."""
     odds = _grid_odds(limit, cap)
     rows = (((x & y) << 1 for x in odds) for y in odds)
-    return _pgm_lines(len(odds), 2 * limit, rows, list(map(str, range(2 * limit + 1))).__getitem__)
+    return _pgm_lines(len(odds), 2 * limit, rows)

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import and_, lshift
 
-from .core import _lane_depths, _lanes, _require_naturals, ensure_within
+from .core import _Labels, _lane_depths, _lanes, _require_naturals, ensure_within
 
 __all__ = [
     "DEFAULT_TREE_CAP",
@@ -91,10 +91,7 @@ def _preds(x, y):
 def predecessor_count(pair) -> int:
     """len(predecessors_of(pair)) without the set: zero on contradiction or odd
     first coordinate, else 2 to the number of set bits of the second coordinate."""
-    return _pred_count(*_checked_pair(pair))
-
-
-def _pred_count(x, y):
+    x, y = _checked_pair(pair)
     if x & 1 or (x >> 1) & y:
         return 0
     return 1 << y.bit_count()
@@ -306,18 +303,6 @@ def _slices(tree):
     """A built tree as (parents, depths) per chunk of _CHUNK nodes."""
     for lo in range(0, tree.n + 1, _CHUNK):
         yield tree.parent[lo:lo + _CHUNK], tree.depth[lo:lo + _CHUNK]
-
-
-class _Labels(dict):
-    """Text per key, rendered by `render` on the first lookup of each key."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        text = self[key] = self.render(key)
-        return text
 
 
 def _dot_lines(n, chunks):

@@ -79,6 +79,15 @@ def test_add_prints_sums_past_the_default_int_string_bound():
     assert proc.stderr.endswith("error: argument x: expected at most 4300 digits, got 4301\n")
 
 
+def test_env_cap_refuses_more_digits_than_the_limit_flag():
+    env = {**os.environ, "CVTX_LIMIT": "1" * 4301}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvtxor", "tree", "8"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: CVTX_LIMIT: expected at most 4300 digits, got 4301\n"
+
+
 def test_classify_names_the_node_class(capsys):
     assert _capture(capsys, ["classify", "6", "2"])[1] == "ContradictoryEvenLeaf\n"
     assert _capture(capsys, ["classify", "0", "8"])[1] == "Root\n"

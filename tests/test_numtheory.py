@@ -1,5 +1,7 @@
 """Odd-pair carry grid, palindrome rows, primality, prime splits."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from cvtxor import (
     power_of_two_check,
     prime_sieve,
 )
-from cvtxor.numtheory import _splits
+from cvtxor.numtheory import _splits, _stream_pgm
 from oracles import brute_predecessors, carry_word, chain_depth, trial_division_prime
 
 
@@ -277,6 +279,15 @@ def test_pgm_rescales_only_past_the_format_ceiling():
     lines = text.splitlines()
     assert lines[2] == "65535"
     assert lines[4].split() == ["1", "65535"]
+
+
+def test_streamed_pgm_rescales_past_the_format_ceiling():
+    # limit 32769 puts the peak cvt(limit, limit) at 65538, just past 65535
+    head = list(islice(_stream_pgm(32769, cap=32769), 3))
+    assert head[0] == "P2\n16385 16385\n65535\n"
+    odds = range(1, 32770, 2)
+    for y, line in zip((1, 3), head[1:]):
+        assert line.split() == [str(((x & y) << 1) * 65535 // 65538) for x in odds]
 
 
 def test_pgm_renders_caller_built_cells_as_str():
